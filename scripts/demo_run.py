@@ -22,9 +22,10 @@ def main():
         config = SimulationConfig(seed=args.seed, interests=args.interests, mode=mode,
                                   out_dir=f"{args.out}/demo_{mode}")
         summary, paths = run_single(config)
+        avg = "n/a" if summary.avg_delivery_s is None else f"{summary.avg_delivery_s:.4f}s"
         print(f"  {mode:6s} delivered={summary.delivered_count:6d} dropped={summary.dropped_count:4d} "
               f"unterminated={summary.unterminated_count:4d} "
-              f"avg_delivery={summary.avg_delivery_s:.4f}s "
+              f"avg_delivery={avg} "
               f"offered={summary.offered_load_mbps:8.1f}Mbps "
               f"load_std={summary.std_load_mbps:7.2f}Mbps -> {paths[0].parent}")
 

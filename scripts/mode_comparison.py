@@ -28,24 +28,24 @@ def main():
     elapsed = time.monotonic() - start
 
     pairs = [(summaries[2 * i], summaries[2 * i + 1]) for i in range(args.runs)]
-    n = len(pairs)
 
-    def stat(label, single_of, multi_of, better):
-        singles = [single_of(s) for s, _ in pairs]
-        multis = [multi_of(m) for _, m in pairs]
-        wins = sum(better(m, s) for s, m in zip(singles, multis))
-        diff = sum(m - s for s, m in zip(singles, multis)) / n
+    def stat(label, attr, better):
+        # A run that delivers no data chunk has no delivery time; its pair is left out.
+        values = [(getattr(s, attr), getattr(m, attr)) for s, m in pairs]
+        values = [(s, m) for s, m in values if s is not None and m is not None]
+        if not values:
+            print(f"  {label:22s} n/a")
+            return
+        n = len(values)
+        wins = sum(better(m, s) for s, m in values)
+        diff = sum(m - s for s, m in values) / n
         print(f"  {label:22s} multi wins {wins:2d}/{n}   paired mean diff {diff:+.4f}")
 
-    print(f"{n} paired runs at {args.interests} interests each ({elapsed:.0f}s) -> {path}")
-    stat("avg delivery time [s]", lambda s: s.avg_delivery_s, lambda m: m.avg_delivery_s,
-         lambda m, s: m < s)
-    stat("load std dev [Mbps]", lambda s: s.std_load_mbps, lambda m: m.std_load_mbps,
-         lambda m, s: m < s)
-    stat("offered load [Mbps]", lambda s: s.offered_load_mbps, lambda m: m.offered_load_mbps,
-         lambda m, s: m >= s)
-    stat("dropped packets", lambda s: s.dropped_count, lambda m: m.dropped_count,
-         lambda m, s: m <= s)
+    print(f"{len(pairs)} paired runs at {args.interests} interests each ({elapsed:.0f}s) -> {path}")
+    stat("avg delivery time [s]", "avg_delivery_s", lambda m, s: m < s)
+    stat("load std dev [Mbps]", "std_load_mbps", lambda m, s: m < s)
+    stat("offered load [Mbps]", "offered_load_mbps", lambda m, s: m >= s)
+    stat("dropped packets", "dropped_count", lambda m, s: m <= s)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import engine, metrics, protocol
@@ -15,13 +16,17 @@ from .engine import InterestEvent
 
 BATCH_HEADER = "run_id,seed,mode,avg_delivery_s,std_load_mbps,offered_load_mbps,dropped"
 
-_INT_KEYS = {"seed", "nodes", "edges", "prefixes", "interests", "k",
-             "buffer_packets", "smoothing_window", "runs"}
-_FLOAT_KEYS = {"horizon_s", "interest_window_s", "path_updates_per_s", "load_window_s",
-               "propagation_delay_s", "warmup_s", "cooldown_start_s", "epsilon_mbps",
-               "histogram_bin_s"}
-_STR_KEYS = {"mode", "out_dir"}
 _ALIASES = {"out": "out_dir"}
+
+
+def _value_type(hint):
+    """Type a config-file value is parsed as; ``int | None`` parses as int."""
+    return next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+
+
+_HINTS = typing.get_type_hints(SimulationConfig)
+# Config-file key -> value type: every SimulationConfig field, plus runs.
+_KEY_TYPES = {f.name: _value_type(_HINTS[f.name]) for f in fields(SimulationConfig)} | {"runs": int}
 
 
 def _build_parser():
@@ -58,15 +63,11 @@ def _read_config_file(path, parser):
             parser.error(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key = _ALIASES.get(key.strip(), key.strip())
         value = value.strip()
+        value_type = _KEY_TYPES.get(key)
+        if value_type is None:
+            parser.error(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _STR_KEYS:
-                values[key] = value
-            else:
-                parser.error(f"{path}:{lineno}: unknown config key {key!r}")
+            values[key] = value_type(value)
         except ValueError:
             parser.error(f"{path}:{lineno}: bad value {value!r} for {key}")
     return values
@@ -75,7 +76,7 @@ def _read_config_file(path, parser):
 def _merge(namespace, parser):
     file_values = _read_config_file(namespace.config_file, parser) if namespace.config_file else {}
     kwargs = {}
-    for key in (_INT_KEYS | _FLOAT_KEYS | _STR_KEYS) - {"runs"}:
+    for key in (f.name for f in fields(SimulationConfig)):
         flag = getattr(namespace, key, None)
         if flag is not None:
             kwargs[key] = flag

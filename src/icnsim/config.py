@@ -27,7 +27,6 @@ class SimulationConfig:
     load_window_s: float = 1.0
     buffer_packets: int = 64
     propagation_delay_s: float = 0.0
-    smoothing_window: int = 5
     warmup_s: float = 50.0
     cooldown_start_s: float = 950.0
     epsilon_mbps: float = 1.0
@@ -64,8 +63,6 @@ class SimulationConfig:
             raise ValueError(f"buffer_packets must be at least 1, got {self.buffer_packets}")
         if self.propagation_delay_s < 0:
             raise ValueError(f"propagation_delay_s must be non-negative, got {self.propagation_delay_s}")
-        if self.smoothing_window < 1:
-            raise ValueError(f"smoothing_window must be at least 1, got {self.smoothing_window}")
         if not 0 <= self.warmup_s < self.cooldown_start_s <= self.horizon_s:
             raise ValueError(
                 f"need 0 <= warmup_s < cooldown_start_s <= horizon_s, "

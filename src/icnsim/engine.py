@@ -87,14 +87,11 @@ class ChannelState:
     exact and bounded by capacity.
     """
 
-    __slots__ = ("channel", "queue", "busy", "busy_until",
-                 "tx_starts", "tx_ends", "tx_cum", "_total_busy")
+    __slots__ = ("channel", "queue", "tx_starts", "tx_ends", "tx_cum", "_total_busy")
 
     def __init__(self, channel):
         self.channel = channel
         self.queue: deque[protocol.Packet] = deque()
-        self.busy = False
-        self.busy_until = 0.0
         self.tx_starts: list[float] = []
         self.tx_ends: list[float] = []
         self.tx_cum: list[float] = []
@@ -129,7 +126,6 @@ class Simulation:
         self.records: list[metrics.PacketRecord] = []
         self.load_log: list[metrics.LoadSample] = []
         self.tables: routing.RouteSet | None = None
-        self.rib: routing.Rib | None = None
         self.unroutable = 0
         self._ids = itertools.count()
         self._update_index = 0
@@ -174,7 +170,7 @@ class Simulation:
             loads.append(load)
             self.load_log.append(metrics.LoadSample(now, state.channel.channel_id, load))
         view = routing.compute_cost_view(self.topology, loads.__getitem__, now, cfg.epsilon_mbps)
-        self.tables, self.rib = routing.rebuild_tables(self.topology, view, cfg.k)
+        self.tables, _ = routing.rebuild_tables(self.topology, view, cfg.k)
         self._update_index += 1
         self.queue.schedule(Event(self._update_index / cfg.path_updates_per_s, PATH_UPDATE))
 
@@ -198,8 +194,6 @@ class Simulation:
                                   node=state.channel.to_node, packet=packet))
         if state.queue:
             self._start_transmission(state, event.time)
-        else:
-            state.busy = False
 
     def _handle_receive(self, event):
         packet = event.packet
@@ -215,7 +209,7 @@ class Simulation:
         if packet.kind == protocol.INTEREST:
             # Anchor reached: answer with a data chunk on the reversed route.
             self._terminate(packet, protocol.DELIVERED, now)
-            data = protocol.make_data_response(packet, now, self._ids)
+            data = protocol.make_data_response(packet, self._ids)
             self.live[data.packet_id] = data
             self._forward(data, now)
         else:
@@ -235,14 +229,12 @@ class Simulation:
             self._terminate(packet, protocol.DROPPED, now)
             return
         state.queue.append(packet)
-        if not state.busy:
+        if len(state.queue) == 1:
             self._start_transmission(state, now)
 
     def _start_transmission(self, state, now):
         packet = state.queue[0]
         end = now + packet.size_bits / (state.channel.capacity_mbps * 1e6)
-        state.busy = True
-        state.busy_until = end
         state.record_transmission(now, end)
         self.queue.schedule(Event(end, TRANSMIT_COMPLETE, channel_id=state.channel.channel_id))
 

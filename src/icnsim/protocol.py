@@ -72,19 +72,16 @@ def split_interest(prefix, paths, mode: str, now: float, ids: Iterator[int]) -> 
     return packets
 
 
-def make_data_response(interest: Packet, now: float, ids: Iterator[int],
-                       from_interest_creation: bool = True) -> Packet:
+def make_data_response(interest: Packet, ids: Iterator[int]) -> Packet:
     """Data chunk answering an interest that reached its anchor.
 
-    The route is the interest's route reversed. By default the data packet
-    inherits the interest's creation time, so its delivery time spans the full
-    request round trip; pass ``from_interest_creation=False`` to time only the
-    return leg.
+    The route is the interest's route reversed. The data packet inherits the
+    interest's creation time, so its delivery time spans the full request
+    round trip.
     """
     if interest.kind != INTEREST:
         raise RuntimeError(f"data response requested for a {interest.kind} packet")
     if interest.hop_index != len(interest.route) - 1:
         raise RuntimeError("data response requested before the interest reached its anchor")
-    created = interest.created_at if from_interest_creation else now
     return Packet(next(ids), DATA, interest.prefix_id, interest.chunk_index,
-                  DATA_SIZE_BITS, tuple(reversed(interest.route)), 0, created)
+                  DATA_SIZE_BITS, tuple(reversed(interest.route)), 0, interest.created_at)

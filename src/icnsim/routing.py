@@ -49,7 +49,6 @@ class RoutePath:
 
     nodes: tuple[int, ...]
     cost: float
-    channels: tuple[int, ...]
 
 
 def _dist_to_targets(topology, costs, targets):
@@ -128,10 +127,6 @@ def _path_cost(topology, costs, nodes):
     return g
 
 
-def _channels_along(topology, nodes):
-    return tuple(topology.channel(a, b).channel_id for a, b in zip(nodes, nodes[1:]))
-
-
 def _k_shortest(topology, costs, src, targets, k, bound):
     first = _best_path(topology, costs, src, targets, bound, (), (), False)
     if first is None:
@@ -164,7 +159,7 @@ def _k_shortest(topology, costs, src, targets, k, bound):
         if not candidates:
             break
         accepted.append(heapq.heappop(candidates))
-    return [RoutePath(nodes, cost, _channels_along(topology, nodes)) for cost, nodes in accepted]
+    return [RoutePath(nodes, cost) for cost, nodes in accepted]
 
 
 def k_shortest_paths(topology: Topology, costs: CostView, src: int, targets, k: int) -> list[RoutePath]:
@@ -216,22 +211,6 @@ class RouteSet:
             self._entries[key] = entry
         return entry
 
-    def entries(self):
-        """Materialize every non-empty (node, prefix) entry."""
-        for node in self.topology.nodes:
-            for prefix in self.topology.prefixes:
-                paths = self.paths(node, prefix.prefix_id)
-                if paths:
-                    yield (node, prefix.prefix_id), paths
-
-    def dump(self) -> str:
-        lines = []
-        for (node, prefix_id), paths in self.entries():
-            for rank, path in enumerate(paths):
-                route = "-".join(str(n) for n in path.nodes)
-                lines.append(f"{node},{prefix_id},{rank},{path.cost:.6f},{route}")
-        return "\n".join(lines) + "\n"
-
 
 class Rib:
     """Per (node, prefix) anchors ordered by shortest-path distance."""
@@ -253,14 +232,6 @@ class Rib:
         ranked = sorted((self._dist(a)[node], a) for a in self.topology.prefixes[prefix_id].anchors
                         if self._dist(a)[node] < inf)
         return tuple((a, d) for d, a in ranked)
-
-    def dump(self) -> str:
-        lines = []
-        for node in self.topology.nodes:
-            for prefix in self.topology.prefixes:
-                for rank, (anchor, dist) in enumerate(self.anchors(node, prefix.prefix_id)):
-                    lines.append(f"{node},{prefix.prefix_id},{rank},{dist:.6f},{anchor}")
-        return "\n".join(lines) + "\n"
 
 
 def rebuild_tables(topology: Topology, costs: CostView, k: int) -> tuple[RouteSet, Rib]:

@@ -80,13 +80,6 @@ class Topology:
         return [ch for ch in self.channels if ch.from_node < ch.to_node]
 
 
-def channel_between(topology: Topology, a: int, b: int) -> Channel:
-    """Directed channel a->b, if the undirected edge exists."""
-    if a == b:
-        raise ValueError("a channel connects two distinct nodes")
-    return topology.channel(a, b)
-
-
 def make_topology(node_count, edges, prefixes, buffer_packets=DEFAULT_BUFFER_PACKETS) -> Topology:
     """Build and validate a topology from undirected (u, v, capacity) edges.
 

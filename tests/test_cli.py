@@ -1,14 +1,15 @@
 import filecmp
+from dataclasses import fields
 
 import pytest
 
 from icnsim import cli
 from icnsim import protocol as P
+from icnsim.config import SimulationConfig
 from icnsim.topology import serialize_topology
 
 
 def small_config(tmp_path, **overrides):
-    from icnsim.config import SimulationConfig
     base = dict(nodes=6, edges=9, prefixes=3, interests=150, horizon_s=40.0,
                 interest_window_s=30.0, warmup_s=5.0, cooldown_start_s=35.0,
                 out_dir=str(tmp_path))
@@ -79,12 +80,30 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert (overridden.seed, overridden.mode, overridden.interests) == (9, "single", 250)
 
 
+def test_every_config_field_is_a_config_file_key(tmp_path):
+    want = dict(seed=7, nodes=12, edges=20, prefixes=4, interests=200, mode="multi", k=2,
+                horizon_s=500.0, interest_window_s=400.0, path_updates_per_s=2.5,
+                load_window_s=0.5, buffer_packets=8, propagation_delay_s=0.001,
+                warmup_s=10.0, cooldown_start_s=450.0, epsilon_mbps=2.0,
+                histogram_bin_s=0.05, out_dir=str(tmp_path / "results"))
+    assert set(want) == {f.name for f in fields(SimulationConfig)}
+    for name, value in want.items():
+        assert value != getattr(SimulationConfig(), name)
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("".join(f"{name}={value}\n" for name, value in want.items()))
+    cfg = cli.parse_config(["--config", str(config_file)])
+    for name, value in want.items():
+        got = getattr(cfg, name)
+        assert (type(got), got) == (type(value), value), name
+
+
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     config_file = tmp_path / "run.conf"
-    config_file.write_text("velocity=9\n")
-    with pytest.raises(SystemExit):
-        cli.parse_config(["--config", str(config_file)])
-    assert "velocity" in capsys.readouterr().err
+    for key, value in (("velocity", 9), ("smoothing_window", 5)):
+        config_file.write_text(f"{key}={value}\n")
+        with pytest.raises(SystemExit):
+            cli.parse_config(["--config", str(config_file)])
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_bad_config_value_is_usage_error(tmp_path):

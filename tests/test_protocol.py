@@ -9,7 +9,7 @@ from icnsim.topology import Prefix
 
 
 def path(*nodes):
-    return RoutePath(tuple(nodes), float(len(nodes) - 1), tuple(range(len(nodes) - 1)))
+    return RoutePath(tuple(nodes), float(len(nodes) - 1))
 
 
 P0 = path(0, 1, 4)
@@ -81,7 +81,7 @@ def terminal_interest(route=(3, 5, 7), chunk=2, created=1.25):
 
 
 def test_data_response_reverses_route():
-    data = P.make_data_response(terminal_interest(), 4.0, itertools.count(1))
+    data = P.make_data_response(terminal_interest(), itertools.count(1))
     assert data.route == (7, 5, 3)
     assert data.kind == P.DATA
     assert data.size_bits == P.DATA_SIZE_BITS
@@ -90,26 +90,24 @@ def test_data_response_reverses_route():
 
 def test_data_response_preserves_identity_and_clock():
     interest = terminal_interest(chunk=2, created=1.25)
-    data = P.make_data_response(interest, 9.0, itertools.count(1))
+    data = P.make_data_response(interest, itertools.count(1))
     assert data.prefix_id == interest.prefix_id
     assert data.chunk_index == 2
     assert data.created_at == 1.25
-    late = P.make_data_response(interest, 9.0, itertools.count(2), from_interest_creation=False)
-    assert late.created_at == 9.0
 
 
 def test_data_response_for_pair_route():
-    data = P.make_data_response(terminal_interest(route=(3, 7)), 0.0, itertools.count(1))
+    data = P.make_data_response(terminal_interest(route=(3, 7)), itertools.count(1))
     assert data.route == (7, 3)
 
 
 def test_data_response_requires_terminal_interest():
     wandering = P.Packet(0, P.INTEREST, 0, 0, P.INTEREST_SIZE_BITS, (3, 5, 7), hop_index=1)
     with pytest.raises(RuntimeError):
-        P.make_data_response(wandering, 0.0, itertools.count())
-    data = P.make_data_response(terminal_interest(), 0.0, itertools.count(1))
+        P.make_data_response(wandering, itertools.count())
+    data = P.make_data_response(terminal_interest(), itertools.count(1))
     with pytest.raises(RuntimeError):
-        P.make_data_response(data, 0.0, itertools.count())
+        P.make_data_response(data, itertools.count())
 
 
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=8, unique=True))

@@ -94,14 +94,14 @@ def test_serialization_format():
 
 def test_channel_between_returns_directed_channel():
     topo = triangle()
-    ch = T.channel_between(topo, 0, 1)
+    ch = topo.channel(0, 1)
     assert (ch.from_node, ch.to_node) == (0, 1)
 
 
 def test_channel_between_reverse_twin():
     topo = triangle()
-    fwd = T.channel_between(topo, 0, 1)
-    rev = T.channel_between(topo, 1, 0)
+    fwd = topo.channel(0, 1)
+    rev = topo.channel(1, 0)
     assert rev.capacity_mbps == fwd.capacity_mbps
     assert (rev.from_node, rev.to_node) == (1, 0)
 
@@ -109,9 +109,9 @@ def test_channel_between_reverse_twin():
 def test_channel_between_missing_edge():
     path_graph = T.make_topology(3, [(0, 1, 512.0), (1, 2, 512.0)], [T.Prefix(0, 8, (2,))])
     with pytest.raises(T.NoChannelError):
-        T.channel_between(path_graph, 0, 2)
-    with pytest.raises(ValueError):
-        T.channel_between(path_graph, 1, 1)
+        path_graph.channel(0, 2)
+    with pytest.raises(T.NoChannelError):
+        path_graph.channel(1, 1)
 
 
 def test_make_topology_rejects_bad_input():
