@@ -3,8 +3,9 @@
 
 Runs both modes on each seed (identical topology and interest schedule within
 a pair), writes batch.csv, and prints per-metric win rates with the paired
-mean differences. Per-run rows are left in batch.csv for external analysis
-such as boxplots or hypothesis tests.
+mean differences; a pair with equal values is a tie, counted apart from wins.
+Per-run rows are left in batch.csv for external analysis such as boxplots or
+hypothesis tests.
 """
 
 import argparse
@@ -38,14 +39,16 @@ def main():
             return
         n = len(values)
         wins = sum(better(m, s) for s, m in values)
+        ties = sum(m == s for s, m in values)
+        tied = f" ({ties} tie{'s' if ties > 1 else ''})" if ties else ""
         diff = sum(m - s for s, m in values) / n
-        print(f"  {label:22s} multi wins {wins:2d}/{n}   paired mean diff {diff:+.4f}")
+        print(f"  {label:22s} multi wins {wins:2d}/{n}{tied}   paired mean diff {diff:+.4f}")
 
     print(f"{len(pairs)} paired runs at {args.interests} interests each ({elapsed:.0f}s) -> {path}")
     stat("avg delivery time [s]", "avg_delivery_s", lambda m, s: m < s)
     stat("load std dev [Mbps]", "std_load_mbps", lambda m, s: m < s)
-    stat("offered load [Mbps]", "offered_load_mbps", lambda m, s: m >= s)
-    stat("dropped packets", "dropped_count", lambda m, s: m <= s)
+    stat("offered load [Mbps]", "offered_load_mbps", lambda m, s: m > s)
+    stat("dropped packets", "dropped_count", lambda m, s: m < s)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ creation and intermediate nodes simply follow it. Each channel direction
 serializes one packet at a time (delay = size / capacity) from a bounded
 tail-drop queue whose head is the packet on the wire. Periodic path-update
 events measure per-channel load over a sliding window, refresh the cost view,
-and swap in fresh routing tables.
+and swap in fresh routing tables. Only channels that transmitted inside the
+window are measured; every other channel logs exactly 0.0, which is what its
+busy time over the window would give.
 """
 
 from __future__ import annotations
@@ -124,7 +126,10 @@ class Simulation:
         self.channels = [ChannelState(ch) for ch in topology.channels]
         self.live: dict[int, protocol.Packet] = {}
         self.records: list[metrics.PacketRecord] = []
-        self.load_log: list[metrics.LoadSample] = []
+        self.load_log = metrics.LoadLog()
+        # Channels that have transmitted since a path update last found them
+        # idle for a whole load window, by channel id.
+        self._active: dict[int, ChannelState] = {}
         self.tables: routing.RouteSet | None = None
         self.unroutable = 0
         self._ids = itertools.count()
@@ -164,11 +169,15 @@ class Simulation:
         cfg = self.config
         window = cfg.load_window_s
         lo = now - window
-        loads = []
-        for state in self.channels:
-            load = state.channel.capacity_mbps * state.busy_seconds(lo, now) / window
-            loads.append(load)
-            self.load_log.append(metrics.LoadSample(now, state.channel.channel_id, load))
+        loads = [0.0] * len(self.channels)
+        active = self._active
+        for channel_id, state in list(active.items()):
+            if state.tx_ends[-1] <= lo:
+                # Idle for the whole window: its busy time there is exactly 0.0.
+                del active[channel_id]
+            else:
+                loads[channel_id] = state.channel.capacity_mbps * state.busy_seconds(lo, now) / window
+        self.load_log.append(now, loads)
         view = routing.compute_cost_view(self.topology, loads.__getitem__, now, cfg.epsilon_mbps)
         self.tables, _ = routing.rebuild_tables(self.topology, view, cfg.k)
         self._update_index += 1
@@ -236,7 +245,9 @@ class Simulation:
         packet = state.queue[0]
         end = now + packet.size_bits / (state.channel.capacity_mbps * 1e6)
         state.record_transmission(now, end)
-        self.queue.schedule(Event(end, TRANSMIT_COMPLETE, channel_id=state.channel.channel_id))
+        channel_id = state.channel.channel_id
+        self._active[channel_id] = state
+        self.queue.schedule(Event(end, TRANSMIT_COMPLETE, channel_id=channel_id))
 
     def _terminate(self, packet, outcome, now):
         packet.outcome = outcome

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -15,6 +15,30 @@ class LoadSample(NamedTuple):
     time_s: float
     channel_id: int
     load_mbps: float
+
+
+@dataclass
+class LoadLog:
+    """Channel loads in Mbps: one row per path update, indexed by channel id.
+
+    Iterating yields one ``LoadSample`` per channel and time, in (time,
+    channel) order; ``len`` counts those samples.
+    """
+
+    times: list[float] = field(default_factory=list)
+    rows: list[list[float]] = field(default_factory=list)
+
+    def append(self, time_s: float, loads: list[float]) -> None:
+        self.times.append(time_s)
+        self.rows.append(loads)
+
+    def __len__(self):
+        return sum(len(row) for row in self.rows)
+
+    def __iter__(self):
+        for t, row in zip(self.times, self.rows):
+            for channel_id, load in enumerate(row):
+                yield LoadSample(t, channel_id, load)
 
 
 class PacketRecord(NamedTuple):
@@ -84,7 +108,7 @@ def histogram(delivery_times, bin_width: float) -> list[tuple[float, int]]:
     return [(i * bin_width, counts[i]) for i in sorted(counts)]
 
 
-def summarize(load_log, packet_log, warmup_end: float = 50.0, cooldown_start: float = 950.0, *,
+def summarize(load_log: LoadLog, packet_log, warmup_end: float = 50.0, cooldown_start: float = 950.0, *,
               run_id: str = "", mode: str = "", interest_count: int = 0, seed: int = 0) -> RunSummary:
     """Run statistics.
 
@@ -94,21 +118,16 @@ def summarize(load_log, packet_log, warmup_end: float = 50.0, cooldown_start: fl
     at each sample time, averaged over times. Packet statistics are not
     time-filtered; average delivery covers delivered data packets only.
     """
-    if load_log:
-        times = np.fromiter((s.time_s for s in load_log), dtype=float, count=len(load_log))
-        loads = np.fromiter((s.load_mbps for s in load_log), dtype=float, count=len(load_log))
-        mask = (times >= warmup_end) & (times < cooldown_start)
-        times = times[mask]
-        loads = loads[mask]
-    else:
-        times = loads = np.empty(0)
-    if times.size:
-        _, inverse = np.unique(times, return_inverse=True)
-        counts = np.bincount(inverse)
-        sums = np.bincount(inverse, weights=loads)
-        means = sums / counts
-        sq = np.bincount(inverse, weights=loads * loads)
-        variances = np.maximum(sq / counts - means * means, 0.0)
+    loads = np.array([row for t, row in zip(load_log.times, load_log.rows)
+                      if warmup_end <= t < cooldown_start], dtype=float)
+    if loads.size:
+        # Running sums along each row add the channels in id order, one at a
+        # time; a plain sum would pair them up and round differently.
+        channels = loads.shape[1]
+        sums = np.cumsum(loads, axis=1)[:, -1]
+        means = sums / channels
+        sq = np.cumsum(loads * loads, axis=1)[:, -1]
+        variances = np.maximum(sq / channels - means * means, 0.0)
         offered = float(np.mean(sums))
         avg = float(np.mean(loads))
         std = float(np.mean(np.sqrt(variances)))
@@ -131,20 +150,20 @@ def summarize(load_log, packet_log, warmup_end: float = 50.0, cooldown_start: fl
                       delivered, dropped, unterminated, offered, avg, std)
 
 
-def write_csv(topology, load_log, packet_log, summary: RunSummary, out_dir) -> list[Path]:
+def write_csv(topology, load_log: LoadLog, packet_log, summary: RunSummary, out_dir) -> list[Path]:
     """Write loads.csv, packets.csv, and summary.csv under out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    channels = {ch.channel_id: ch for ch in topology.channels}
     run_id = summary.run_id
 
     loads_path = out / "loads.csv"
+    # Rows are already in (time, channel) order.
+    endpoints = [f"{ch.channel_id},{ch.from_node},{ch.to_node}," for ch in topology.channels]
     with open(loads_path, "w", newline="") as f:
         f.write(LOADS_HEADER + "\n")
-        f.writelines(
-            f"{run_id},{s.time_s:.6f},{s.channel_id},"
-            f"{channels[s.channel_id].from_node},{channels[s.channel_id].to_node},{s.load_mbps:.6f}\n"
-            for s in sorted(load_log, key=lambda s: (s.time_s, s.channel_id)))
+        for t, row in zip(load_log.times, load_log.rows):
+            head = f"{run_id},{t:.6f},"
+            f.writelines(f"{head}{ends}{load:.6f}\n" for ends, load in zip(endpoints, row))
 
     packets_path = out / "packets.csv"
     with open(packets_path, "w", newline="") as f:

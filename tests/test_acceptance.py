@@ -139,17 +139,25 @@ def test_criterion_6_physical_bounds(counted_runs):
 
 
 def test_criterion_7_warmup_cooldown_exclusion():
-    from icnsim.metrics import LoadSample, summarize
-    base = [LoadSample(t, c, 10.0 * (c + 1)) for t in (100.0, 500.0, 900.0) for c in (0, 1)]
+    from icnsim.metrics import LoadLog, summarize
+
+    def with_edges(before, after):
+        # Two channels at 10 and 20 Mbps at t=100/500/900, plus a full row at
+        # each added time with 999 Mbps on channel 0 (before) or 1 (after).
+        times = [before, 100.0, 500.0, 900.0, after]
+        rows = [[999.0, 20.0], [10.0, 20.0], [10.0, 20.0], [10.0, 20.0], [10.0, 999.0]]
+        return LoadLog(times, rows)
+
+    base = LoadLog([100.0, 500.0, 900.0], [[10.0, 20.0] for _ in range(3)])
     reference = summarize(base, [])
 
-    excluded = base + [LoadSample(49.9, 0, 999.0), LoadSample(950.0, 1, 999.0)]
+    excluded = with_edges(49.9, 950.0)
     unchanged = summarize(excluded, [])
     same = (unchanged.offered_load_mbps == reference.offered_load_mbps
             and unchanged.avg_load_mbps == reference.avg_load_mbps
             and unchanged.std_load_mbps == reference.std_load_mbps)
 
-    included = base + [LoadSample(50.0, 0, 999.0), LoadSample(949.9, 1, 999.0)]
+    included = with_edges(50.0, 949.9)
     changed = summarize(included, [])
     differs = (changed.offered_load_mbps != reference.offered_load_mbps
                and changed.avg_load_mbps != reference.avg_load_mbps

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from icnsim import engine as E
+from icnsim import metrics as M
 from icnsim import protocol as P
 from icnsim.config import SimulationConfig
 from icnsim.topology import Prefix, make_topology
@@ -220,8 +221,32 @@ def test_conservation_and_route_reversal_on_mesh():
 def test_identical_runs_are_identical():
     _, (loads_a, records_a) = mesh_run(seed=9)
     _, (loads_b, records_b) = mesh_run(seed=9)
+    assert isinstance(loads_a, M.LoadLog)
     assert loads_a == loads_b
     assert records_a == records_b
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(buffer_packets=1),
+    dict(propagation_delay_s=0.01),
+    dict(horizon_s=20.0, interest_window_s=20.0, cooldown_start_s=20.0),
+    dict(interests=0),
+], ids=["buffer-1", "propagation-delay", "horizon-cuts-transfers", "no-interests"])
+def test_logged_loads_equal_full_window_measurement(overrides):
+    # Path updates measure only channels that transmitted in the window. The
+    # full transmission history gives every channel's load at every update;
+    # the logged rows must equal it exactly, idle channels included.
+    from icnsim.cli import build_inputs
+    cfg = mesh_config(**overrides)
+    topo, scenario = build_inputs(cfg)
+    sim = E.Simulation(cfg, topo, scenario)
+    load_log, _ = sim.run()
+    window = cfg.load_window_s
+    expected = [[state.channel.capacity_mbps * state.busy_seconds(t - window, t) / window
+                 for state in sim.channels] for t in load_log.times]
+    assert load_log.rows == expected
+    assert len(load_log) == len(load_log.times) * len(topo.channels)
+    assert len(load_log.times) == int(cfg.horizon_s * cfg.path_updates_per_s)
 
 
 def test_load_never_exceeds_capacity():

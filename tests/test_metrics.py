@@ -8,10 +8,6 @@ from icnsim import protocol as P
 from icnsim.topology import Prefix, make_topology
 
 
-def sample(t, channel, load):
-    return M.LoadSample(t, channel, load)
-
-
 def record(pid, kind=P.DATA, created=0.0, terminated=1.0, outcome=P.DELIVERED,
            route="0-1", prefix=0, chunk=0):
     src, dst = int(route.split("-")[0]), int(route.split("-")[-1])
@@ -80,41 +76,55 @@ def test_histogram_counts_sum(times, width):
 # -- summarize -------------------------------------------------------------
 
 def test_warmup_and_cooldown_boundaries():
-    inside = [sample(50.0, 0, 10.0), sample(949.9, 0, 20.0)]
-    outside = [sample(49.9, 0, 400.0), sample(950.0, 0, 400.0)]
-    summary = M.summarize(inside + outside, [])
+    # One channel: inside the window 10 and 20 Mbps, outside it 400 Mbps.
+    log = M.LoadLog([49.9, 50.0, 949.9, 950.0], [[400.0], [10.0], [20.0], [400.0]])
+    summary = M.summarize(log, [])
     assert summary.avg_load_mbps == 15.0
     assert summary.offered_load_mbps == 15.0
-    with_outside_only = M.summarize(outside, [])
+    with_outside_only = M.summarize(M.LoadLog([49.9, 950.0], [[400.0], [400.0]]), [])
     assert with_outside_only.avg_load_mbps == 0.0
 
 
 def test_equal_loads_have_zero_std():
-    log = [sample(100.0, c, 42.0) for c in range(4)]
+    log = M.LoadLog([100.0], [[42.0] * 4])
     assert M.summarize(log, []).std_load_mbps == 0.0
 
 
 def test_across_channel_population_std():
-    log = [sample(100.0, 0, 10.0), sample(100.0, 1, 20.0),
-           sample(200.0, 0, 30.0), sample(200.0, 1, 30.0)]
+    log = M.LoadLog([100.0, 200.0], [[10.0, 20.0], [30.0, 30.0]])
     summary = M.summarize(log, [])
     assert summary.std_load_mbps == pytest.approx((5.0 + 0.0) / 2)
     assert summary.offered_load_mbps == pytest.approx((30.0 + 60.0) / 2)
     assert summary.avg_load_mbps == pytest.approx(22.5)
 
 
+@given(st.integers(1, 6).flatmap(lambda channels: st.lists(
+    st.lists(st.floats(0.0, 2048.0), min_size=channels, max_size=channels), min_size=1, max_size=12)))
+def test_load_statistics_match_per_time_definition(rows):
+    # Reference: per sample time, the channel sum and the population std
+    # across channels, each averaged over times.
+    log = M.LoadLog([60.0 + i / 5 for i in range(len(rows))], rows)
+    summary = M.summarize(log, [])
+    sums = [math.fsum(row) for row in rows]
+    stds = [math.sqrt(math.fsum((x - s / len(row)) ** 2 for x in row) / len(row))
+            for row, s in zip(rows, sums)]
+    assert summary.offered_load_mbps == pytest.approx(sum(sums) / len(rows), rel=1e-9, abs=1e-9)
+    assert summary.avg_load_mbps == pytest.approx(sum(sums) / len(log), rel=1e-9, abs=1e-9)
+    assert summary.std_load_mbps == pytest.approx(sum(stds) / len(rows), rel=1e-6, abs=1e-4)
+
+
 def test_delivery_mean_over_data_packets():
     log = [record(0, created=1.0, terminated=3.0),
            record(1, created=1.0, terminated=5.0),
            record(2, kind=P.INTEREST, created=1.0, terminated=1.1)]
-    summary = M.summarize([], log)
+    summary = M.summarize(M.LoadLog(), log)
     assert summary.avg_delivery_s == pytest.approx(3.0)
     assert summary.delivered_count == 3
 
 
 def test_no_delivered_data_means_absent_average():
     log = [record(0, outcome=P.DROPPED), record(1, outcome=P.UNTERMINATED, terminated=None)]
-    summary = M.summarize([], log)
+    summary = M.summarize(M.LoadLog(), log)
     assert summary.avg_delivery_s is None
     assert summary.dropped_count == 1
     assert summary.unterminated_count == 1
@@ -124,7 +134,7 @@ def test_no_delivered_data_means_absent_average():
 def test_outcome_counts_reconcile(outcomes):
     log = [record(i, outcome=o, terminated=None if o == P.UNTERMINATED else 1.0)
            for i, o in enumerate(outcomes)]
-    summary = M.summarize([], log)
+    summary = M.summarize(M.LoadLog(), log)
     assert (summary.delivered_count + summary.dropped_count + summary.unterminated_count
             == len(outcomes))
 
@@ -145,12 +155,16 @@ def summary_fixture(**overrides):
 
 
 def parse_loads(path):
+    """The loads.csv rows as a LoadLog; each time's rows must list channels 0, 1, ..."""
     lines = path.read_text().splitlines()
     assert lines[0] == M.LOADS_HEADER
-    out = []
+    out = M.LoadLog()
     for line in lines[1:]:
         _, t, channel, _, _, load = line.split(",")
-        out.append(M.LoadSample(float(t), int(channel), float(load)))
+        if not out.times or out.times[-1] != float(t):
+            out.append(float(t), [])
+        assert int(channel) == len(out.rows[-1])
+        out.rows[-1].append(float(load))
     return out
 
 
@@ -167,7 +181,7 @@ def parse_packets(path):
 
 
 def test_empty_run_writes_headers_only(tmp_path):
-    paths = M.write_csv(tiny_topology(), [], [], summary_fixture(), tmp_path)
+    paths = M.write_csv(tiny_topology(), M.LoadLog(), [], summary_fixture(), tmp_path)
     assert [p.name for p in paths] == ["loads.csv", "packets.csv", "summary.csv"]
     assert paths[0].read_text() == M.LOADS_HEADER + "\n"
     assert paths[1].read_text() == M.PACKETS_HEADER + "\n"
@@ -178,33 +192,33 @@ def test_empty_run_writes_headers_only(tmp_path):
 
 def test_delivered_packet_row(tmp_path):
     log = [record(0, created=0.5, terminated=0.625, route="0-1")]
-    _, packets_path, _ = M.write_csv(tiny_topology(), [], log, summary_fixture(), tmp_path)
+    _, packets_path, _ = M.write_csv(tiny_topology(), M.LoadLog(), log, summary_fixture(), tmp_path)
     assert packets_path.read_text().splitlines()[1] == \
         "7-single,0,data,0,0,0,1,0.500000,0.625000,Delivered,0-1"
 
 
 def test_unterminated_packet_has_empty_timestamp(tmp_path):
     log = [record(0, outcome=P.UNTERMINATED, terminated=None)]
-    _, packets_path, _ = M.write_csv(tiny_topology(), [], log, summary_fixture(), tmp_path)
+    _, packets_path, _ = M.write_csv(tiny_topology(), M.LoadLog(), log, summary_fixture(), tmp_path)
     row = packets_path.read_text().splitlines()[1]
     assert ",,Unterminated," in row
 
 
 def test_absent_average_is_empty_field(tmp_path):
-    *_, summary_path = M.write_csv(tiny_topology(), [], [], summary_fixture(avg_delivery_s=None), tmp_path)
+    *_, summary_path = M.write_csv(tiny_topology(), M.LoadLog(), [], summary_fixture(avg_delivery_s=None), tmp_path)
     assert summary_path.read_text().splitlines()[1].split(",")[4] == ""
 
 
 def test_rows_sorted_and_roundtrip(tmp_path):
     topo = tiny_topology()
-    load_log = [sample(0.4, 1, 1.25), sample(0.2, 1, 3.5), sample(0.2, 0, 2.0), sample(0.4, 0, 0.0)]
+    load_log = M.LoadLog([0.2, 0.4], [[2.0, 3.5], [0.0, 1.25]])
     packet_log = [record(2, created=0.25, terminated=0.375), record(0, created=0.0, terminated=0.125),
                   record(1, kind=P.INTEREST, created=0.0, terminated=0.0625, route="1-0")]
     paths = M.write_csv(topo, load_log, packet_log, summary_fixture(), tmp_path)
 
     loads = parse_loads(paths[0])
     assert [(s.time_s, s.channel_id) for s in loads] == [(0.2, 0), (0.2, 1), (0.4, 0), (0.4, 1)]
-    assert sorted(loads) == sorted(load_log)
+    assert loads == load_log
     packets = parse_packets(paths[1])
     assert [r.packet_id for r in packets] == [0, 1, 2]
     assert sorted(packets) == sorted(packet_log)
@@ -219,7 +233,7 @@ def test_unwritable_path_raises_oserror(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     with pytest.raises(OSError):
-        M.write_csv(tiny_topology(), [], [], summary_fixture(), blocker / "sub")
+        M.write_csv(tiny_topology(), M.LoadLog(), [], summary_fixture(), blocker / "sub")
 
 
 def test_write_histogram(tmp_path):
