@@ -8,6 +8,9 @@ events measure per-channel load over a sliding window, refresh the cost view,
 and swap in fresh routing tables. Only channels that transmitted inside the
 window are measured; every other channel logs exactly 0.0, which is what its
 busy time over the window would give.
+
+A packet's object is its log record. It joins the log when it is created, and
+ids come from one counter in creation order, so the log is in packet-id order.
 """
 
 from __future__ import annotations
@@ -124,8 +127,7 @@ class Simulation:
         self.topology = topology
         self.queue = EventQueue()
         self.channels = [ChannelState(ch) for ch in topology.channels]
-        self.live: dict[int, protocol.Packet] = {}
-        self.records: list[metrics.PacketRecord] = []
+        self.packets: list[protocol.Packet] = []
         self.load_log = metrics.LoadLog()
         # Channels that have transmitted since a path update last found them
         # idle for a whole load window, by channel id.
@@ -134,33 +136,34 @@ class Simulation:
         self.unroutable = 0
         self._ids = itertools.count()
         self._update_index = 0
-        self._handlers = {
+        # The horizon sentinel goes in first so it wins the (time, seq) tie
+        # against anything scheduled at exactly the horizon.
+        self.queue.schedule(Event(config.horizon_s, END_OF_RUN))
+        self.queue.schedule(Event(0.0, PATH_UPDATE))
+        consumers = [set(topology.nodes).difference(p.anchors) for p in topology.prefixes]
+        for ev in interests:
+            if not (0 <= ev.prefix_id < len(consumers) and ev.consumer in consumers[ev.prefix_id]):
+                raise ValueError(f"{ev}: needs a known prefix and a consumer node that is not its anchor")
+            self.queue.schedule(Event(ev.time_s, INIT_INTEREST, node=ev.consumer, prefix_id=ev.prefix_id))
+
+    def run(self):
+        queue = self.queue
+        # Local: bound methods kept on self would hold a finished run until a full GC.
+        handlers = {
             INIT_INTEREST: self._handle_init_interest,
             TRANSMIT_COMPLETE: self._handle_transmit_complete,
             RECEIVE: self._handle_receive,
             PATH_UPDATE: self._handle_path_update,
         }
-        # The horizon sentinel goes in first so it wins the (time, seq) tie
-        # against anything scheduled at exactly the horizon.
-        self.queue.schedule(Event(config.horizon_s, END_OF_RUN))
-        self.queue.schedule(Event(0.0, PATH_UPDATE))
-        for ev in interests:
-            self.queue.schedule(Event(ev.time_s, INIT_INTEREST, node=ev.consumer, prefix_id=ev.prefix_id))
-
-    def run(self):
-        queue = self.queue
-        handlers = self._handlers
         while len(queue):
             event = queue.pop()
             if event.kind == END_OF_RUN:
                 break
             handlers[event.kind](event)
-        for packet in self.live.values():
-            packet.outcome = protocol.UNTERMINATED
-            self.records.append(self._record(packet))
-        self.live.clear()
-        self.records.sort(key=lambda r: r.packet_id)
-        return self.load_log, self.records
+        for packet in self.packets:
+            if packet.outcome is None:
+                packet.outcome = protocol.UNTERMINATED
+        return self.load_log, self.packets
 
     # -- event handlers -------------------------------------------------
 
@@ -176,7 +179,9 @@ class Simulation:
                 # Idle for the whole window: its busy time there is exactly 0.0.
                 del active[channel_id]
             else:
-                loads[channel_id] = state.channel.capacity_mbps * state.busy_seconds(lo, now) / window
+                cap = state.channel.capacity_mbps
+                # Busy time summed from interval arithmetic can round past the window.
+                loads[channel_id] = min(cap, cap * state.busy_seconds(lo, now) / window)
         self.load_log.append(now, loads)
         view = routing.compute_cost_view(self.topology, loads.__getitem__, now, cfg.epsilon_mbps)
         self.tables, _ = routing.rebuild_tables(self.topology, view, cfg.k)
@@ -192,8 +197,8 @@ class Simulation:
         except protocol.RouteUnavailableError:
             self.unroutable += 1
             return
+        self.packets.extend(packets)
         for packet in packets:
-            self.live[packet.packet_id] = packet
             self._forward(packet, now)
 
     def _handle_transmit_complete(self, event):
@@ -207,7 +212,7 @@ class Simulation:
     def _handle_receive(self, event):
         packet = event.packet
         now = event.time
-        route = packet.route
+        route = packet.nodes
         if route[packet.hop_index] != event.node:
             raise SimulationError(
                 f"packet {packet.packet_id} received at node {event.node}, "
@@ -219,7 +224,7 @@ class Simulation:
             # Anchor reached: answer with a data chunk on the reversed route.
             self._terminate(packet, protocol.DELIVERED, now)
             data = protocol.make_data_response(packet, self._ids)
-            self.live[data.packet_id] = data
+            self.packets.append(data)
             self._forward(data, now)
         else:
             self._terminate(packet, protocol.DELIVERED, now)
@@ -227,7 +232,7 @@ class Simulation:
     # -- channel mechanics ----------------------------------------------
 
     def _forward(self, packet, now):
-        route = packet.route
+        route = packet.nodes
         here = route[packet.hop_index]
         packet.hop_index += 1
         channel = self.topology.channel(here, route[packet.hop_index])
@@ -251,17 +256,13 @@ class Simulation:
 
     def _terminate(self, packet, outcome, now):
         packet.outcome = outcome
-        packet.terminated_at = now
-        self.live.pop(packet.packet_id, None)
-        self.records.append(self._record(packet))
-
-    def _record(self, packet):
-        return metrics.PacketRecord(
-            packet.packet_id, packet.kind, packet.prefix_id, packet.chunk_index,
-            packet.route[0], packet.route[-1], packet.created_at, packet.terminated_at,
-            packet.outcome, protocol.format_route(packet.route))
+        packet.terminated_s = now
 
 
 def run(config, topology, interests):
-    """Run one simulation; returns (load_log, packet_log)."""
+    """Run one simulation; returns (load_log, packets), packets in packet-id order.
+
+    Raises ValueError if an interest names an unknown prefix, or a consumer that
+    is not a node or anchors the prefix.
+    """
     return Simulation(config, topology, interests).run()

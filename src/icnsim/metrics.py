@@ -41,19 +41,6 @@ class LoadLog:
                 yield LoadSample(t, channel_id, load)
 
 
-class PacketRecord(NamedTuple):
-    packet_id: int
-    kind: str
-    prefix_id: int
-    chunk_index: int
-    src: int
-    dst: int
-    created_s: float
-    terminated_s: float | None
-    outcome: str
-    route: str
-
-
 @dataclass
 class RunSummary:
     run_id: str
@@ -151,13 +138,15 @@ def summarize(load_log: LoadLog, packet_log, warmup_end: float = 50.0, cooldown_
 
 
 def write_csv(topology, load_log: LoadLog, packet_log, summary: RunSummary, out_dir) -> list[Path]:
-    """Write loads.csv, packets.csv, and summary.csv under out_dir."""
+    """Write loads.csv, packets.csv, and summary.csv under out_dir, rows in the order given.
+
+    The packet log is in packet-id order, as ``engine.run`` returns it.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run_id = summary.run_id
 
     loads_path = out / "loads.csv"
-    # Rows are already in (time, channel) order.
     endpoints = [f"{ch.channel_id},{ch.from_node},{ch.to_node}," for ch in topology.channels]
     with open(loads_path, "w", newline="") as f:
         f.write(LOADS_HEADER + "\n")
@@ -171,7 +160,7 @@ def write_csv(topology, load_log: LoadLog, packet_log, summary: RunSummary, out_
         f.writelines(
             f"{run_id},{r.packet_id},{r.kind},{r.prefix_id},{r.chunk_index},{r.src},{r.dst},"
             f"{r.created_s:.6f},{_opt(r.terminated_s)},{r.outcome},{r.route}\n"
-            for r in sorted(packet_log, key=lambda r: r.packet_id))
+            for r in packet_log)
 
     summary_path = out / "summary.csv"
     with open(summary_path, "w", newline="") as f:

@@ -27,10 +27,10 @@ class RouteUnavailableError(RuntimeError):
 
 @dataclass(slots=True)
 class Packet:
-    """One interest or data unit carrying its full source route.
+    """One interest or data unit carrying its full source route; also its log record.
 
-    ``hop_index`` points at the node the packet currently sits at (or is in
-    flight toward); routes are frozen at creation, so later cost changes never
+    ``hop_index`` points at the node of ``nodes`` the packet sits at (or is in
+    flight toward). Routes are frozen at creation, so later cost changes never
     reroute a packet.
     """
 
@@ -39,15 +39,24 @@ class Packet:
     prefix_id: int
     chunk_index: int
     size_bits: int
-    route: tuple[int, ...]
+    nodes: tuple[int, ...]
     hop_index: int = 0
-    created_at: float = 0.0
-    terminated_at: float | None = None
+    created_s: float = 0.0
+    terminated_s: float | None = None
     outcome: str | None = None
 
+    @property
+    def src(self) -> int:
+        return self.nodes[0]
 
-def format_route(nodes) -> str:
-    return "-".join(str(n) for n in nodes)
+    @property
+    def dst(self) -> int:
+        return self.nodes[-1]
+
+    @property
+    def route(self) -> str:
+        """The route as node ids joined by ``-``, formatted on each read."""
+        return "-".join(map(str, self.nodes))
 
 
 def split_interest(prefix, paths, mode: str, now: float, ids: Iterator[int]) -> list[Packet]:
@@ -81,7 +90,7 @@ def make_data_response(interest: Packet, ids: Iterator[int]) -> Packet:
     """
     if interest.kind != INTEREST:
         raise RuntimeError(f"data response requested for a {interest.kind} packet")
-    if interest.hop_index != len(interest.route) - 1:
+    if interest.hop_index != len(interest.nodes) - 1:
         raise RuntimeError("data response requested before the interest reached its anchor")
     return Packet(next(ids), DATA, interest.prefix_id, interest.chunk_index,
-                  DATA_SIZE_BITS, tuple(reversed(interest.route)), 0, interest.created_at)
+                  DATA_SIZE_BITS, interest.nodes[::-1], 0, interest.created_s)

@@ -95,10 +95,13 @@ def random_case(seed, max_nodes=8):
 def check_conservation(records):
     """Conservation audit over one run's packet records.
 
-    Verifies outcome counts reconcile, every data packet pairs with exactly
-    one anchor-delivered interest (same prefix and chunk, reversed route), and
-    terminal timestamps are consistent.
+    Verifies records are in strictly increasing packet-id order, outcome
+    counts reconcile, every data packet pairs with exactly one anchor-delivered
+    interest (same prefix and chunk, reversed route), and terminal timestamps
+    are consistent.
     """
+    ids = [r.packet_id for r in records]
+    assert all(a < b for a, b in zip(ids, ids[1:])), "records must be in packet-id order"
     outcomes = Counter(r.outcome for r in records)
     assert sum(outcomes.values()) == len(records)
     assert set(outcomes) <= {protocol.DELIVERED, protocol.DROPPED, protocol.UNTERMINATED}

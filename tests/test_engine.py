@@ -1,6 +1,9 @@
+import gc
 import itertools
+import weakref
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from icnsim import engine as E
 from icnsim import metrics as M
@@ -131,13 +134,13 @@ def test_single_chunk_window_load_is_64_mbps():
 def test_tail_drop_at_buffer_capacity():
     sim = E.Simulation(short_config(), two_node_topology(), [])
     state = sim.channels[0]
-    for i in range(65):
-        packet = P.Packet(i, P.INTEREST, 0, 0, P.INTEREST_SIZE_BITS, (0, 1), hop_index=1)
-        sim.live[i] = packet
+    packets = [P.Packet(i, P.INTEREST, 0, 0, P.INTEREST_SIZE_BITS, (0, 1), hop_index=1)
+               for i in range(65)]
+    for packet in packets:
         sim._enqueue(state, packet, 0.0)
     assert len(state.queue) == 64
-    dropped = [r for r in sim.records if r.outcome == P.DROPPED]
-    assert [r.packet_id for r in dropped] == [64]
+    dropped = [p for p in packets if p.outcome == P.DROPPED]
+    assert [p.packet_id for p in dropped] == [64]
 
 
 def test_drops_recorded_in_full_run():
@@ -188,6 +191,33 @@ def test_multi_mode_single_path_degradation():
     _, records = E.run(short_config(mode=P.MODE_MULTI), two_node_topology(), [E.InterestEvent(1.0, 0, 0)])
     assert all(r.route in ("0-1", "1-0") for r in records)
     assert {r.outcome for r in records} == {P.DELIVERED}
+
+
+@pytest.mark.parametrize("event", [
+    E.InterestEvent(1.0, 1, 0),
+    E.InterestEvent(1.0, 2, 0),
+    E.InterestEvent(1.0, -1, 0),
+    E.InterestEvent(1.0, 0, 1),
+    E.InterestEvent(1.0, 0, -1),
+], ids=["consumer-is-anchor", "consumer-past-last-node", "negative-consumer",
+        "prefix-past-last", "negative-prefix"])
+def test_bad_interest_is_rejected(event):
+    with pytest.raises(ValueError):
+        E.run(short_config(), two_node_topology(), [event])
+
+
+def test_finished_run_is_freed_without_cycle_collection():
+    # run_batch keeps only summaries: a reference cycle through the simulation
+    # would keep each finished run alive until a full collection.
+    sim = E.Simulation(short_config(), two_node_topology(), [E.InterestEvent(1.0, 0, 0)])
+    sim.run()
+    ref = weakref.ref(sim)
+    gc.disable()
+    try:
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_receive_at_wrong_node_is_fatal():
@@ -242,7 +272,8 @@ def test_logged_loads_equal_full_window_measurement(overrides):
     sim = E.Simulation(cfg, topo, scenario)
     load_log, _ = sim.run()
     window = cfg.load_window_s
-    expected = [[state.channel.capacity_mbps * state.busy_seconds(t - window, t) / window
+    expected = [[min(state.channel.capacity_mbps,
+                     state.channel.capacity_mbps * state.busy_seconds(t - window, t) / window)
                  for state in sim.channels] for t in load_log.times]
     assert load_log.rows == expected
     assert len(load_log) == len(load_log.times) * len(topo.channels)
@@ -265,3 +296,38 @@ def test_delivered_data_reverses_interest_route():
     for r in data:
         route = interests[(r.prefix_id, r.chunk_index, r.created_s)]
         assert r.route == "-".join(reversed(route.split("-")))
+
+
+@st.composite
+def engine_configs(draw):
+    nodes = draw(st.integers(2, 8))
+    horizon = draw(st.floats(1.0, 20.0))
+    return SimulationConfig(
+        seed=draw(st.integers(0, 2**16)), nodes=nodes,
+        edges=draw(st.integers(nodes - 1, nodes * (nodes - 1) // 2)),
+        prefixes=draw(st.integers(1, 4)), interests=draw(st.integers(0, 200)),
+        mode=draw(st.sampled_from([P.MODE_SINGLE, P.MODE_MULTI])), k=draw(st.integers(1, 5)),
+        buffer_packets=draw(st.integers(1, 4)),
+        propagation_delay_s=draw(st.sampled_from([0.0, 0.001, 0.05, 0.5])),
+        # Interests may arrive up to the horizon, so transfers can be cut.
+        horizon_s=horizon, interest_window_s=draw(st.floats(0.0, 1.0)) * horizon,
+        warmup_s=0.0, cooldown_start_s=horizon)
+
+
+@settings(max_examples=40, deadline=None)
+@given(engine_configs())
+# A channel busy for the whole window summed to 1.0000000000000002 s of busy
+# time here, which logged a load above capacity.
+@example(SimulationConfig(seed=1, nodes=4, edges=6, prefixes=1, interests=60, mode=P.MODE_MULTI, k=2,
+                          horizon_s=1.5, interest_window_s=1.125, buffer_packets=4,
+                          warmup_s=0.0, cooldown_start_s=1.5))
+def test_engine_invariants_on_random_configs(cfg):
+    from icnsim.cli import build_inputs
+    topo, scenario = build_inputs(cfg)
+    load_log, packets = E.run(cfg, topo, scenario)
+    check_conservation(packets)
+    capacity = [ch.capacity_mbps for ch in topo.channels]
+    assert all(0.0 <= s.load_mbps <= capacity[s.channel_id] for s in load_log)
+    assert [p.packet_id for p in packets] == list(range(len(packets)))
+    assert all((p.terminated_s is None) == (p.outcome == P.UNTERMINATED) for p in packets)
+    assert E.run(cfg, topo, scenario) == (load_log, packets)

@@ -10,8 +10,16 @@ from icnsim.topology import Prefix, make_topology
 
 def record(pid, kind=P.DATA, created=0.0, terminated=1.0, outcome=P.DELIVERED,
            route="0-1", prefix=0, chunk=0):
-    src, dst = int(route.split("-")[0]), int(route.split("-")[-1])
-    return M.PacketRecord(pid, kind, prefix, chunk, src, dst, created, terminated, outcome, route)
+    """A terminated packet as the engine logs it."""
+    nodes = tuple(int(n) for n in route.split("-"))
+    size = P.DATA_SIZE_BITS if kind == P.DATA else P.INTEREST_SIZE_BITS
+    return P.Packet(pid, kind, prefix, chunk, size, nodes, len(nodes) - 1, created, terminated, outcome)
+
+
+def written(packets):
+    """The ten packets.csv fields of each packet."""
+    return [(p.packet_id, p.kind, p.prefix_id, p.chunk_index, p.src, p.dst,
+             p.created_s, p.terminated_s, p.outcome, p.route) for p in packets]
 
 
 # -- smooth --------------------------------------------------------------
@@ -174,9 +182,10 @@ def parse_packets(path):
     out = []
     for line in lines[1:]:
         _, pid, kind, prefix, chunk, src, dst, created, terminated, outcome, route = line.split(",")
-        out.append(M.PacketRecord(int(pid), kind, int(prefix), int(chunk), int(src), int(dst),
-                                  float(created), float(terminated) if terminated else None,
-                                  outcome, route))
+        packet = record(int(pid), kind, float(created), float(terminated) if terminated else None,
+                        outcome, route, int(prefix), int(chunk))
+        assert (packet.src, packet.dst) == (int(src), int(dst))
+        out.append(packet)
     return out
 
 
@@ -212,8 +221,10 @@ def test_absent_average_is_empty_field(tmp_path):
 def test_rows_sorted_and_roundtrip(tmp_path):
     topo = tiny_topology()
     load_log = M.LoadLog([0.2, 0.4], [[2.0, 3.5], [0.0, 1.25]])
-    packet_log = [record(2, created=0.25, terminated=0.375), record(0, created=0.0, terminated=0.125),
-                  record(1, kind=P.INTEREST, created=0.0, terminated=0.0625, route="1-0")]
+    # In packet-id order, as the engine returns it: write_csv does not sort.
+    packet_log = [record(0, created=0.0, terminated=0.125),
+                  record(1, kind=P.INTEREST, created=0.0, terminated=0.0625, route="1-0"),
+                  record(2, created=0.25, terminated=0.375)]
     paths = M.write_csv(topo, load_log, packet_log, summary_fixture(), tmp_path)
 
     loads = parse_loads(paths[0])
@@ -221,7 +232,7 @@ def test_rows_sorted_and_roundtrip(tmp_path):
     assert loads == load_log
     packets = parse_packets(paths[1])
     assert [r.packet_id for r in packets] == [0, 1, 2]
-    assert sorted(packets) == sorted(packet_log)
+    assert written(packets) == written(packet_log)
 
     # Writing the parsed logs again reproduces the files byte for byte.
     again = M.write_csv(topo, loads, packets, summary_fixture(), tmp_path / "again")

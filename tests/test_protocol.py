@@ -25,12 +25,12 @@ def test_sizes_are_exact():
 def test_single_chunk_object():
     packets = P.split_interest(Prefix(0, 8, (4,)), [P0, P1], P.MODE_SINGLE, 1.0, itertools.count())
     assert len(packets) == 1
-    assert packets[0].route == P0.nodes
+    assert packets[0].nodes == P0.nodes
 
 
 def test_multi_round_robin_over_eight_chunks():
     packets = P.split_interest(Prefix(0, 64, (4,)), [P0, P1, P2], P.MODE_MULTI, 0.0, itertools.count())
-    assert [p.route for p in packets] == [
+    assert [p.nodes for p in packets] == [
         P0.nodes, P1.nodes, P2.nodes, P0.nodes, P1.nodes, P2.nodes, P0.nodes, P1.nodes]
     assert [p.chunk_index for p in packets] == list(range(8))
 
@@ -38,12 +38,12 @@ def test_multi_round_robin_over_eight_chunks():
 def test_single_mode_pins_all_chunks_to_best_path():
     packets = P.split_interest(Prefix(0, 24, (4,)), [P0, P1, P2], P.MODE_SINGLE, 0.0, itertools.count())
     assert len(packets) == 3
-    assert all(p.route == P0.nodes for p in packets)
+    assert all(p.nodes == P0.nodes for p in packets)
 
 
 def test_multi_mode_with_one_path_degrades_to_single():
     packets = P.split_interest(Prefix(0, 24, (4,)), [P1], P.MODE_MULTI, 0.0, itertools.count())
-    assert all(p.route == P1.nodes for p in packets)
+    assert all(p.nodes == P1.nodes for p in packets)
 
 
 def test_packet_fields():
@@ -54,9 +54,9 @@ def test_packet_fields():
         assert p.kind == P.INTEREST
         assert p.prefix_id == 3
         assert p.size_bits == P.INTEREST_SIZE_BITS
-        assert p.created_at == 2.5
+        assert p.created_s == 2.5
         assert p.hop_index == 0
-        assert p.terminated_at is None and p.outcome is None
+        assert p.terminated_s is None and p.outcome is None
 
 
 def test_chunk_sizes_cover_object():
@@ -77,12 +77,12 @@ def test_unknown_mode_raises():
 
 def terminal_interest(route=(3, 5, 7), chunk=2, created=1.25):
     return P.Packet(0, P.INTEREST, 9, chunk, P.INTEREST_SIZE_BITS, route,
-                    hop_index=len(route) - 1, created_at=created)
+                    hop_index=len(route) - 1, created_s=created)
 
 
 def test_data_response_reverses_route():
     data = P.make_data_response(terminal_interest(), itertools.count(1))
-    assert data.route == (7, 5, 3)
+    assert data.nodes == (7, 5, 3)
     assert data.kind == P.DATA
     assert data.size_bits == P.DATA_SIZE_BITS
     assert data.hop_index == 0
@@ -93,12 +93,12 @@ def test_data_response_preserves_identity_and_clock():
     data = P.make_data_response(interest, itertools.count(1))
     assert data.prefix_id == interest.prefix_id
     assert data.chunk_index == 2
-    assert data.created_at == 1.25
+    assert data.created_s == 1.25
 
 
 def test_data_response_for_pair_route():
     data = P.make_data_response(terminal_interest(route=(3, 7)), itertools.count(1))
-    assert data.route == (7, 3)
+    assert data.nodes == (7, 3)
 
 
 def test_data_response_requires_terminal_interest():
@@ -116,6 +116,8 @@ def test_route_reversal_is_involutive(nodes):
     assert tuple(reversed(tuple(reversed(route)))) == route
 
 
-def test_format_route():
-    assert P.format_route((3, 5, 7)) == "3-5-7"
-    assert P.format_route((4,)) == "4"
+def test_packet_route():
+    three_hop = P.Packet(0, P.INTEREST, 0, 0, P.INTEREST_SIZE_BITS, (3, 5, 7))
+    assert (three_hop.route, three_hop.src, three_hop.dst) == ("3-5-7", 3, 7)
+    one_node = P.Packet(0, P.DATA, 0, 0, P.DATA_SIZE_BITS, (4,))
+    assert (one_node.route, one_node.src, one_node.dst) == ("4", 4, 4)
