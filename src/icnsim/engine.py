@@ -127,6 +127,8 @@ class Simulation:
         self.topology = topology
         self.queue = EventQueue()
         self.channels = [ChannelState(ch) for ch in topology.channels]
+        self._channel_states = {(state.channel.from_node, state.channel.to_node): state
+                                for state in self.channels}
         self.packets: list[protocol.Packet] = []
         self.load_log = metrics.LoadLog()
         # Channels that have transmitted since a path update last found them
@@ -142,12 +144,16 @@ class Simulation:
         self.queue.schedule(Event(0.0, PATH_UPDATE))
         consumers = [set(topology.nodes).difference(p.anchors) for p in topology.prefixes]
         for ev in interests:
+            if not 0.0 <= ev.time_s:
+                raise ValueError(f"{ev}: needs a time that is a number of seconds >= 0")
             if not (0 <= ev.prefix_id < len(consumers) and ev.consumer in consumers[ev.prefix_id]):
                 raise ValueError(f"{ev}: needs a known prefix and a consumer node that is not its anchor")
             self.queue.schedule(Event(ev.time_s, INIT_INTEREST, node=ev.consumer, prefix_id=ev.prefix_id))
 
     def run(self):
-        queue = self.queue
+        # The loop tests the heap itself: a __len__ call per event is measurable.
+        heap = self.queue._heap
+        pop = self.queue.pop
         # Local: bound methods kept on self would hold a finished run until a full GC.
         handlers = {
             INIT_INTEREST: self._handle_init_interest,
@@ -155,8 +161,8 @@ class Simulation:
             RECEIVE: self._handle_receive,
             PATH_UPDATE: self._handle_path_update,
         }
-        while len(queue):
-            event = queue.pop()
+        while heap:
+            event = pop()
             if event.kind == END_OF_RUN:
                 break
             handlers[event.kind](event)
@@ -204,8 +210,8 @@ class Simulation:
     def _handle_transmit_complete(self, event):
         state = self.channels[event.channel_id]
         packet = state.queue.popleft()
-        self.queue.schedule(Event(event.time + self.config.propagation_delay_s, RECEIVE,
-                                  node=state.channel.to_node, packet=packet))
+        self.queue.schedule(Event(event.time + self.config.propagation_delay_s, RECEIVE, -1,
+                                  state.channel.to_node, -1, -1, packet))
         if state.queue:
             self._start_transmission(state, event.time)
 
@@ -232,18 +238,17 @@ class Simulation:
     # -- channel mechanics ----------------------------------------------
 
     def _forward(self, packet, now):
+        """Queue the packet on the channel to its next hop, or drop it if that buffer is full."""
         route = packet.nodes
-        here = route[packet.hop_index]
-        packet.hop_index += 1
-        channel = self.topology.channel(here, route[packet.hop_index])
-        self._enqueue(self.channels[channel.channel_id], packet, now)
-
-    def _enqueue(self, state, packet, now):
-        if len(state.queue) >= state.channel.buffer_packets:
+        hop = packet.hop_index
+        packet.hop_index = hop + 1
+        state = self._channel_states[route[hop], route[hop + 1]]
+        queue = state.queue
+        if len(queue) >= state.channel.buffer_packets:
             self._terminate(packet, protocol.DROPPED, now)
             return
-        state.queue.append(packet)
-        if len(state.queue) == 1:
+        queue.append(packet)
+        if len(queue) == 1:
             self._start_transmission(state, now)
 
     def _start_transmission(self, state, now):
@@ -252,7 +257,7 @@ class Simulation:
         state.record_transmission(now, end)
         channel_id = state.channel.channel_id
         self._active[channel_id] = state
-        self.queue.schedule(Event(end, TRANSMIT_COMPLETE, channel_id=channel_id))
+        self.queue.schedule(Event(end, TRANSMIT_COMPLETE, -1, -1, -1, channel_id))
 
     def _terminate(self, packet, outcome, now):
         packet.outcome = outcome
@@ -262,7 +267,7 @@ class Simulation:
 def run(config, topology, interests):
     """Run one simulation; returns (load_log, packets), packets in packet-id order.
 
-    Raises ValueError if an interest names an unknown prefix, or a consumer that
-    is not a node or anchors the prefix.
+    Raises ValueError if an interest has a negative or NaN time, names an unknown
+    prefix, or names a consumer that is not a node or anchors the prefix.
     """
     return Simulation(config, topology, interests).run()

@@ -5,6 +5,14 @@ path over (cost, node-sequence) labels, so equal-cost paths always order
 lexicographically by node sequence. The anchor set of a prefix acts as a
 virtual sink: the k paths for one prefix may end at different anchors, and a
 ranked path may pass through one anchor on its way to another.
+
+Spur searches are cut off. Once at least m candidates are pending, where m
+is the number of paths still wanted, no path dearer than the m-th cheapest
+candidate can be ranked, so a spur search gives up as soon as its lower bound
+exceeds that cost. Only strict excess over the cost plus a relative slack is
+cut: a path that ties the m-th candidate may still rank ahead of it by node
+sequence, and the search sums a path's cost in another order than the ranking
+does, so the two sums of one path can differ in the last bits.
 """
 
 from __future__ import annotations
@@ -16,6 +24,9 @@ from math import inf
 from .topology import Topology
 
 EPSILON_MBPS = 1.0
+# Relative slack of the spur-search cut-off; far above the rounding of a path
+# cost summed in two orders, far below any real cost difference.
+CUTOFF_SLACK = 1e-9
 
 
 def channel_cost(capacity_mbps: float, load_mbps: float, epsilon_mbps: float = EPSILON_MBPS) -> float:
@@ -77,7 +88,8 @@ def _dist_to_targets(topology, costs, targets):
     return dist
 
 
-def _best_path(topology, costs, src, targets, bound, banned_nodes, banned_first_hops, ban_trivial):
+def _best_path(topology, costs, src, targets, bound, banned_nodes, banned_first_hops, ban_trivial,
+               limit):
     """Cheapest loopless path from src to any target, ties by node sequence.
 
     Best-first search over (cost + lower bound, node sequence) labels with
@@ -88,13 +100,19 @@ def _best_path(topology, costs, src, targets, bound, banned_nodes, banned_first_
     never have been needed for looplessness. With ``ban_trivial`` the
     single-node path is excluded (the search must leave src even when src is
     itself a target).
+
+    No label whose cost plus lower bound exceeds ``limit`` enters the heap,
+    and the search returns None once none is left. Labels within the limit pop
+    in the same order as without it, so a path within the limit is found
+    exactly as before; equality is never cut.
     """
-    if bound[src] == inf or src in banned_nodes:
+    f = bound[src]
+    if f == inf or f > limit or src in banned_nodes:
         return None
     cost = costs.costs
     adjacency = topology.adjacency
     done = set(banned_nodes)
-    heap = [(bound[src], (src,), 0.0)]
+    heap = [(f, (src,), 0.0)]
     while heap:
         _, path, g = heapq.heappop(heap)
         node = path[-1]
@@ -113,7 +131,10 @@ def _best_path(topology, costs, src, targets, bound, banned_nodes, banned_first_
             if hb == inf:
                 continue
             ng = g + cost[ch]
-            heapq.heappush(heap, (ng + hb, path + (nbr,), ng))
+            f = ng + hb
+            if f > limit:
+                continue
+            heapq.heappush(heap, (f, path + (nbr,), ng))
     return None
 
 
@@ -128,16 +149,34 @@ def _path_cost(topology, costs, nodes):
 
 
 def _k_shortest(topology, costs, src, targets, k, bound):
-    first = _best_path(topology, costs, src, targets, bound, (), (), False)
+    """Yen's ranking of the k cheapest loopless paths from src to targets.
+
+    With m = k - len(accepted) paths still wanted and at least m candidates
+    pending, every path still to be accepted costs at most C_m, the cost of
+    the m-th cheapest pending candidate. The spur search from a root of cost r
+    then gets the limit C_m * (1 + CUTOFF_SLACK) - r (inf while fewer than m
+    are pending): a spur beyond it could never be accepted, and since C_m
+    never rises it could not be accepted later either. A spur tying C_m is
+    kept, because the node sequence breaks the tie.
+    """
+    first = _best_path(topology, costs, src, targets, bound, (), (), False, inf)
     if first is None:
         return []
+    channel_costs = costs.costs
     accepted = [(first[0], first[1])]
     candidates: list[tuple[float, tuple[int, ...]]] = []
     seen = {first[1]}
     while len(accepted) < k:
         _, base = accepted[-1]
+        wanted = k - len(accepted)
+        ceiling = inf
+        if len(candidates) >= wanted:
+            ceiling = heapq.nsmallest(wanted, candidates)[-1][0] * (1 + CUTOFF_SLACK)
+        root_cost = 0.0
         for j in range(len(base)):
             spur = base[j]
+            if j:
+                root_cost += channel_costs[topology.channel(base[j - 1], spur).channel_id]
             root = base[: j + 1]
             banned_hops = set()
             ban_trivial = False
@@ -148,7 +187,7 @@ def _k_shortest(topology, costs, src, targets, k, bound):
                     else:
                         ban_trivial = True
             found = _best_path(topology, costs, spur, targets, bound,
-                               frozenset(root[:-1]), banned_hops, ban_trivial)
+                               frozenset(root[:-1]), banned_hops, ban_trivial, ceiling - root_cost)
             if found is None:
                 continue
             candidate = root[:-1] + found[1]
@@ -156,6 +195,8 @@ def _k_shortest(topology, costs, src, targets, k, bound):
                 continue
             seen.add(candidate)
             heapq.heappush(candidates, (_path_cost(topology, costs, candidate), candidate))
+            if len(candidates) >= wanted:
+                ceiling = heapq.nsmallest(wanted, candidates)[-1][0] * (1 + CUTOFF_SLACK)
         if not candidates:
             break
         accepted.append(heapq.heappop(candidates))

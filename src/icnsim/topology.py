@@ -84,7 +84,8 @@ def make_topology(node_count, edges, prefixes, buffer_packets=DEFAULT_BUFFER_PAC
     """Build and validate a topology from undirected (u, v, capacity) edges.
 
     Each edge becomes a pair of directed channels with equal capacity; channel
-    ids follow edge order (edge i -> channels 2i and 2i+1).
+    ids follow edge order (edge i -> channels 2i and 2i+1). Prefix ids must
+    be their positions in ``prefixes``.
     """
     if node_count < 2:
         raise ValueError("a topology needs at least 2 nodes")
@@ -105,7 +106,10 @@ def make_topology(node_count, edges, prefixes, buffer_packets=DEFAULT_BUFFER_PAC
         channels.append(Channel(2 * i + 1, v, u, capacity, buffer_packets))
     if not _connected(node_count, seen_pairs):
         raise ValueError("graph is not connected")
-    for p in prefixes:
+    for i, p in enumerate(prefixes):
+        if p.prefix_id != i:
+            # The engine and routing look prefixes up by position.
+            raise ValueError(f"prefix {p.prefix_id} is at position {i}; prefix ids must be 0, 1, ...")
         if not p.anchors:
             raise ValueError(f"prefix {p.prefix_id} has no anchors")
         if any(not 0 <= a < node_count for a in p.anchors):

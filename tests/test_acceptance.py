@@ -130,8 +130,8 @@ def test_criterion_6_physical_bounds(counted_runs):
     for size_bits, capacity, expected in checks:
         topo = make_topology(2, [(0, 1, capacity)], [Prefix(0, 8, (1,))])
         sim = E.Simulation(SimulationConfig(nodes=2, edges=1, prefixes=1), topo, [])
-        packet = P.Packet(0, P.DATA, 0, 0, size_bits, (0, 1), hop_index=1)
-        sim._enqueue(sim.channels[0], packet, 0.0)
+        packet = P.Packet(0, P.DATA, 0, 0, size_bits, (0, 1), hop_index=0)
+        sim._forward(packet, 0.0)
         assert sim.channels[0].tx_ends[0] == expected
     _report(6, True,
             "every load sample within channel capacity; 8MB@2048Mbps=0.03125s and "

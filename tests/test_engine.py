@@ -64,16 +64,16 @@ def test_queue_yields_nondecreasing_times():
 def test_data_serialization_delay_at_2048():
     sim = E.Simulation(short_config(), two_node_topology(capacity=2048.0), [])
     state = sim.channels[0]
-    packet = P.Packet(0, P.DATA, 0, 0, P.DATA_SIZE_BITS, (0, 1), hop_index=1)
-    sim._enqueue(state, packet, 0.0)
+    packet = P.Packet(0, P.DATA, 0, 0, P.DATA_SIZE_BITS, (0, 1), hop_index=0)
+    sim._forward(packet, 0.0)
     assert state.tx_ends[0] - state.tx_starts[0] == 0.03125
 
 
 def test_interest_serialization_delay_at_512():
     sim = E.Simulation(short_config(), two_node_topology(capacity=512.0), [])
     state = sim.channels[0]
-    packet = P.Packet(0, P.INTEREST, 0, 0, P.INTEREST_SIZE_BITS, (0, 1), hop_index=1)
-    sim._enqueue(state, packet, 0.0)
+    packet = P.Packet(0, P.INTEREST, 0, 0, P.INTEREST_SIZE_BITS, (0, 1), hop_index=0)
+    sim._forward(packet, 0.0)
     assert state.tx_ends[0] - state.tx_starts[0] == 0.0015625
 
 
@@ -134,10 +134,10 @@ def test_single_chunk_window_load_is_64_mbps():
 def test_tail_drop_at_buffer_capacity():
     sim = E.Simulation(short_config(), two_node_topology(), [])
     state = sim.channels[0]
-    packets = [P.Packet(i, P.INTEREST, 0, 0, P.INTEREST_SIZE_BITS, (0, 1), hop_index=1)
+    packets = [P.Packet(i, P.INTEREST, 0, 0, P.INTEREST_SIZE_BITS, (0, 1), hop_index=0)
                for i in range(65)]
     for packet in packets:
-        sim._enqueue(state, packet, 0.0)
+        sim._forward(packet, 0.0)
     assert len(state.queue) == 64
     dropped = [p for p in packets if p.outcome == P.DROPPED]
     assert [p.packet_id for p in dropped] == [64]
@@ -199,8 +199,10 @@ def test_multi_mode_single_path_degradation():
     E.InterestEvent(1.0, -1, 0),
     E.InterestEvent(1.0, 0, 1),
     E.InterestEvent(1.0, 0, -1),
+    E.InterestEvent(float("nan"), 0, 0),
+    E.InterestEvent(-1.0, 0, 0),
 ], ids=["consumer-is-anchor", "consumer-past-last-node", "negative-consumer",
-        "prefix-past-last", "negative-prefix"])
+        "prefix-past-last", "negative-prefix", "nan-time", "negative-time"])
 def test_bad_interest_is_rejected(event):
     with pytest.raises(ValueError):
         E.run(short_config(), two_node_topology(), [event])

@@ -115,6 +115,44 @@ def test_matches_brute_force(seed, k):
         assert gc == pytest.approx(wc, rel=1e-9)
 
 
+@st.composite
+def tie_heavy_case(draw):
+    """Small directed graph whose path costs tie often: all 1.0, or each from {0.25, 0.5, 1.0}.
+
+    Every sum of such costs is exact, so equal-cost paths tie exactly and only
+    the node sequence orders them. The graph need not be connected.
+    """
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    channels = []
+    for u, v in edges:
+        channels.append(T.Channel(len(channels), u, v, 1024.0))
+        channels.append(T.Channel(len(channels), v, u, 1024.0))
+    if draw(st.booleans()):
+        costs = tuple(1.0 for _ in channels)
+    else:
+        costs = tuple(draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]),
+                                    min_size=len(channels), max_size=len(channels))))
+    anchors = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))))
+    topology = T.Topology(tuple(range(n)), tuple(channels), (T.Prefix(0, 8, anchors),))
+    return topology, R.CostView(0.0, costs), draw(st.integers(0, n - 1)), draw(st.integers(1, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tie_heavy_case())
+def test_matches_brute_force_with_ties(case):
+    # Guards the spur-search cut-off: a spur that ties the cut-off cost may
+    # still rank ahead by node sequence, so it must not be cut.
+    topology, view, src, k = case
+    targets = topology.prefixes[0].anchors
+    got = [(p.cost, p.nodes) for p in R.k_shortest_paths(topology, view, src, targets, k)]
+    want = brute_force_k_paths(topology, view, src, targets, k)
+    assert [n for _, n in got] == [n for _, n in want]
+    for (gc, _), (wc, _) in zip(got, want):
+        assert gc == pytest.approx(wc, rel=1e-9)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_k1_is_dijkstra(seed):

@@ -125,3 +125,5 @@ def test_make_topology_rejects_bad_input():
         T.make_topology(4, [(0, 1, 600.0), (2, 3, 600.0)], [])
     with pytest.raises(ValueError):
         T.make_topology(2, [(0, 1, 600.0)], [T.Prefix(0, 12, (0,))])
+    with pytest.raises(ValueError):
+        T.make_topology(2, [(0, 1, 600.0)], [T.Prefix(3, 16, (1,))])
