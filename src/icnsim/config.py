@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .protocol import MODE_MULTI, MODE_SINGLE
 
@@ -38,6 +39,11 @@ class SimulationConfig:
             self.k = 3 if self.mode == MODE_MULTI else 1
 
     def validate(self) -> "SimulationConfig":
+        # A check like `x <= 0` lets NaN through, and inf passes every upper-bound-free check.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value}")
         if self.nodes < 2:
             raise ValueError(f"nodes must be at least 2, got {self.nodes}")
         max_edges = self.nodes * (self.nodes - 1) // 2

@@ -9,6 +9,14 @@ and swap in fresh routing tables. Only channels that transmitted inside the
 window are measured; every other channel logs exactly 0.0, which is what its
 busy time over the window would give.
 
+Events are plain ``(time, seq, kind, payload)`` tuples handled in (time, seq)
+order, where ``seq`` is the scheduling order. With no propagation delay every
+completed transmission schedules its arrival at the current time; such events
+skip the heap and wait in a FIFO same-time lane inside ``EventQueue``. That
+keeps (time, seq) order exactly: every heap event due at the current time was
+scheduled before the clock reached it, so it pops first, and the lane is
+drained before the clock moves.
+
 A packet's object is its log record. It joins the log when it is created, and
 ids come from one counter in creation order, so the log is in packet-id order.
 """
@@ -19,16 +27,12 @@ import heapq
 import itertools
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import metrics, protocol, routing
 
-INIT_INTEREST = "init_interest"
-TRANSMIT_COMPLETE = "transmit_complete"
-RECEIVE = "receive"
-PATH_UPDATE = "path_update"
-END_OF_RUN = "end_of_run"
+# Event kinds index the handler tuple that ``Simulation.run`` builds.
+INIT_INTEREST, TRANSMIT_COMPLETE, RECEIVE, PATH_UPDATE, END_OF_RUN = range(5)
 
 
 class SimulationError(RuntimeError):
@@ -47,39 +51,44 @@ class InterestEvent(NamedTuple):
     prefix_id: int
 
 
-@dataclass(slots=True)
-class Event:
-    time: float
-    kind: str
-    seq: int = -1
-    node: int = -1
-    prefix_id: int = -1
-    channel_id: int = -1
-    packet: protocol.Packet | None = None
-
-
 class EventQueue:
-    """Events ordered by (time, seq); ties resolve in scheduling order."""
+    """Events ``(time, seq, kind, payload)`` popped in (time, seq) order.
+
+    ``seq`` counts schedule calls, so ties resolve in scheduling order. An
+    event at exactly the clock goes to a FIFO lane; later events go to a heap.
+    ``pop`` takes the lane only once no heap event is due at the clock, which
+    is exactly (time, seq) order: a heap event due now was scheduled before
+    the clock reached its time, so it has a smaller seq than any lane event;
+    the lane leaves in seq order; and the clock moves only once the lane is
+    empty.
+    """
 
     def __init__(self):
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple] = []
+        self._lane: deque[tuple] = deque()
         self._count = itertools.count()
         self.clock = 0.0
 
     def __len__(self):
-        return len(self._heap)
+        return len(self._heap) + len(self._lane)
 
-    def schedule(self, event: Event) -> Event:
-        if event.time < self.clock:
-            raise SchedulingError(
-                f"event {event.kind} at t={event.time} scheduled after clock reached {self.clock}")
-        event.seq = next(self._count)
-        heapq.heappush(self._heap, (event.time, event.seq, event))
-        return event
+    def schedule(self, time, kind, payload=None) -> None:
+        clock = self.clock
+        if time == clock:
+            self._lane.append((time, next(self._count), kind, payload))
+        elif time > clock:
+            heapq.heappush(self._heap, (time, next(self._count), kind, payload))
+        else:
+            # NaN lands here too: it is not at or after any clock.
+            raise SchedulingError(f"event kind {kind} at t={time} scheduled after clock reached {clock}")
 
-    def pop(self) -> Event:
-        time, _, event = heapq.heappop(self._heap)
-        self.clock = time
+    def pop(self) -> tuple:
+        lane = self._lane
+        heap = self._heap
+        if lane and (not heap or heap[0][0] > self.clock):
+            return lane.popleft()
+        event = heapq.heappop(heap)
+        self.clock = event[0]
         return event
 
 
@@ -140,32 +149,28 @@ class Simulation:
         self._update_index = 0
         # The horizon sentinel goes in first so it wins the (time, seq) tie
         # against anything scheduled at exactly the horizon.
-        self.queue.schedule(Event(config.horizon_s, END_OF_RUN))
-        self.queue.schedule(Event(0.0, PATH_UPDATE))
+        self.queue.schedule(config.horizon_s, END_OF_RUN)
+        self.queue.schedule(0.0, PATH_UPDATE)
         consumers = [set(topology.nodes).difference(p.anchors) for p in topology.prefixes]
         for ev in interests:
             if not 0.0 <= ev.time_s:
                 raise ValueError(f"{ev}: needs a time that is a number of seconds >= 0")
             if not (0 <= ev.prefix_id < len(consumers) and ev.consumer in consumers[ev.prefix_id]):
                 raise ValueError(f"{ev}: needs a known prefix and a consumer node that is not its anchor")
-            self.queue.schedule(Event(ev.time_s, INIT_INTEREST, node=ev.consumer, prefix_id=ev.prefix_id))
+            self.queue.schedule(ev.time_s, INIT_INTEREST, ev)
 
     def run(self):
-        # The loop tests the heap itself: a __len__ call per event is measurable.
-        heap = self.queue._heap
         pop = self.queue.pop
-        # Local: bound methods kept on self would hold a finished run until a full GC.
-        handlers = {
-            INIT_INTEREST: self._handle_init_interest,
-            TRANSMIT_COMPLETE: self._handle_transmit_complete,
-            RECEIVE: self._handle_receive,
-            PATH_UPDATE: self._handle_path_update,
-        }
-        while heap:
-            event = pop()
-            if event.kind == END_OF_RUN:
+        # Indexed by kind. Local: bound methods kept on self would hold a
+        # finished run until a full GC.
+        handlers = (self._handle_init_interest, self._handle_transmit_complete,
+                    self._handle_receive, self._handle_path_update)
+        # END_OF_RUN stays queued until it pops, so the queue never runs dry.
+        while True:
+            now, _, kind, payload = pop()
+            if kind == END_OF_RUN:
                 break
-            handlers[event.kind](event)
+            handlers[kind](now, payload)
         for packet in self.packets:
             if packet.outcome is None:
                 packet.outcome = protocol.UNTERMINATED
@@ -173,8 +178,7 @@ class Simulation:
 
     # -- event handlers -------------------------------------------------
 
-    def _handle_path_update(self, event):
-        now = event.time
+    def _handle_path_update(self, now, _):
         cfg = self.config
         window = cfg.load_window_s
         lo = now - window
@@ -192,12 +196,11 @@ class Simulation:
         view = routing.compute_cost_view(self.topology, loads.__getitem__, now, cfg.epsilon_mbps)
         self.tables, _ = routing.rebuild_tables(self.topology, view, cfg.k)
         self._update_index += 1
-        self.queue.schedule(Event(self._update_index / cfg.path_updates_per_s, PATH_UPDATE))
+        self.queue.schedule(self._update_index / cfg.path_updates_per_s, PATH_UPDATE)
 
-    def _handle_init_interest(self, event):
-        now = event.time
-        prefix = self.topology.prefixes[event.prefix_id]
-        paths = self.tables.paths(event.node, event.prefix_id)
+    def _handle_init_interest(self, now, interest):
+        prefix = self.topology.prefixes[interest.prefix_id]
+        paths = self.tables.paths(interest.consumer, interest.prefix_id)
         try:
             packets = protocol.split_interest(prefix, paths, self.config.mode, now, self._ids)
         except protocol.RouteUnavailableError:
@@ -207,21 +210,20 @@ class Simulation:
         for packet in packets:
             self._forward(packet, now)
 
-    def _handle_transmit_complete(self, event):
-        state = self.channels[event.channel_id]
+    def _handle_transmit_complete(self, now, state):
         packet = state.queue.popleft()
-        self.queue.schedule(Event(event.time + self.config.propagation_delay_s, RECEIVE, -1,
-                                  state.channel.to_node, -1, -1, packet))
+        # With no propagation delay this lands in the queue's same-time lane.
+        self.queue.schedule(now + self.config.propagation_delay_s, RECEIVE,
+                            (state.channel.to_node, packet))
         if state.queue:
-            self._start_transmission(state, event.time)
+            self._start_transmission(state, now)
 
-    def _handle_receive(self, event):
-        packet = event.packet
-        now = event.time
+    def _handle_receive(self, now, arrival):
+        node, packet = arrival
         route = packet.nodes
-        if route[packet.hop_index] != event.node:
+        if route[packet.hop_index] != node:
             raise SimulationError(
-                f"packet {packet.packet_id} received at node {event.node}, "
+                f"packet {packet.packet_id} received at node {node}, "
                 f"expected {route[packet.hop_index]}")
         if packet.hop_index < len(route) - 1:
             self._forward(packet, now)
@@ -255,9 +257,8 @@ class Simulation:
         packet = state.queue[0]
         end = now + packet.size_bits / (state.channel.capacity_mbps * 1e6)
         state.record_transmission(now, end)
-        channel_id = state.channel.channel_id
-        self._active[channel_id] = state
-        self.queue.schedule(Event(end, TRANSMIT_COMPLETE, -1, -1, -1, channel_id))
+        self._active[state.channel.channel_id] = state
+        self.queue.schedule(end, TRANSMIT_COMPLETE, state)
 
     def _terminate(self, packet, outcome, now):
         packet.outcome = outcome

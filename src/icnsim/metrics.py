@@ -140,7 +140,10 @@ def summarize(load_log: LoadLog, packet_log, warmup_end: float = 50.0, cooldown_
 def write_csv(topology, load_log: LoadLog, packet_log, summary: RunSummary, out_dir) -> list[Path]:
     """Write loads.csv, packets.csv, and summary.csv under out_dir, rows in the order given.
 
-    The packet log is in packet-id order, as ``engine.run`` returns it.
+    The packet log is in packet-id order, as ``engine.run`` returns it. Routes
+    repeat heavily, so each distinct route's ``src,dst`` and ``-``-joined
+    columns are formatted once and cached by its ``nodes`` tuple; the rows are
+    still streamed, never held as one list.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -157,10 +160,7 @@ def write_csv(topology, load_log: LoadLog, packet_log, summary: RunSummary, out_
     packets_path = out / "packets.csv"
     with open(packets_path, "w", newline="") as f:
         f.write(PACKETS_HEADER + "\n")
-        f.writelines(
-            f"{run_id},{r.packet_id},{r.kind},{r.prefix_id},{r.chunk_index},{r.src},{r.dst},"
-            f"{r.created_s:.6f},{_opt(r.terminated_s)},{r.outcome},{r.route}\n"
-            for r in packet_log)
+        f.writelines(_packet_rows(run_id, packet_log))
 
     summary_path = out / "summary.csv"
     with open(summary_path, "w", newline="") as f:
@@ -170,6 +170,18 @@ def write_csv(topology, load_log: LoadLog, packet_log, summary: RunSummary, out_
                 f"{summary.unterminated_count},{summary.offered_load_mbps:.6f},"
                 f"{summary.avg_load_mbps:.6f},{summary.std_load_mbps:.6f}\n")
     return [loads_path, packets_path, summary_path]
+
+
+def _packet_rows(run_id, packet_log):
+    routes: dict[tuple[int, ...], tuple[str, str]] = {}
+    for r in packet_log:
+        nodes = r.nodes
+        route = routes.get(nodes)
+        if route is None:
+            route = routes[nodes] = (f"{nodes[0]},{nodes[-1]}", "-".join(map(str, nodes)))
+        terminated = "" if r.terminated_s is None else f"{r.terminated_s:.6f}"
+        yield (f"{run_id},{r.packet_id},{r.kind},{r.prefix_id},{r.chunk_index},{route[0]},"
+               f"{r.created_s:.6f},{terminated},{r.outcome},{route[1]}\n")
 
 
 def write_histogram(bins, path) -> Path:

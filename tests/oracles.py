@@ -2,7 +2,8 @@
 
 Nothing here may call into the code paths it verifies: paths come from
 exhaustive DFS enumeration, shortest paths from a textbook predecessor-array
-Dijkstra, and the conservation audit works purely on packet records.
+Dijkstra, event order from a plain heap, and the conservation audit works
+purely on packet records.
 """
 
 from __future__ import annotations
@@ -90,6 +91,33 @@ def random_case(seed, max_nodes=8):
     edges = rng.randint(n - 1, n * (n - 1) // 2)
     topology = topo_mod.generate_topology(n, edges, 1, rng)
     return topology, random_cost_view(topology, rng)
+
+
+class HeapQueue:
+    """Reference event queue: one heap of (time, seq, kind, payload), no lane.
+
+    It has the interface of ``engine.EventQueue`` and counts its pops.
+    """
+
+    def __init__(self):
+        self._heap = []
+        self._seq = 0
+        self.clock = 0.0
+        self.pops = 0
+
+    def __len__(self):
+        return len(self._heap)
+
+    def schedule(self, time, kind, payload=None):
+        assert time >= self.clock
+        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        self._seq += 1
+
+    def pop(self):
+        event = heapq.heappop(self._heap)
+        self.clock = event[0]
+        self.pops += 1
+        return event
 
 
 def check_conservation(records):

@@ -1,4 +1,5 @@
 import filecmp
+import math
 from dataclasses import fields
 
 import pytest
@@ -111,6 +112,27 @@ def test_bad_config_value_is_usage_error(tmp_path):
     config_file.write_text("seed=fast\n")
     with pytest.raises(SystemExit):
         cli.parse_config(["--config", str(config_file)])
+
+
+_FLOAT_FIELDS = [f.name for f in fields(SimulationConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_non_finite_float_is_rejected(tmp_path, name, value):
+    assert len(_FLOAT_FIELDS) == 9
+    cfg = small_config(tmp_path, **{name: value})
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        cfg.validate()
+
+
+def test_nan_in_config_file_is_usage_error(tmp_path, capsys):
+    config_file = tmp_path / "run.conf"
+    config_file.write_text("propagation_delay_s=nan\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_config(["--config", str(config_file)])
+    assert exc.value.code == 2
+    assert "propagation_delay_s must be a finite number" in capsys.readouterr().err
 
 
 # -- scenario generation -----------------------------------------------------

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +12,7 @@ from icnsim import protocol as P
 from icnsim.config import SimulationConfig
 from icnsim.topology import Prefix, make_topology
 
-from oracles import check_conservation
+from oracles import HeapQueue, check_conservation
 
 
 def two_node_topology(capacity=1024.0, size_mb=16, buffer_packets=64):
@@ -29,34 +30,90 @@ def short_config(**overrides):
 
 def test_queue_pops_singleton():
     q = E.EventQueue()
-    q.schedule(E.Event(5.0, E.PATH_UPDATE))
-    assert q.pop().time == 5.0
+    q.schedule(5.0, E.PATH_UPDATE)
+    assert q.pop() == (5.0, 0, E.PATH_UPDATE, None)
     assert q.clock == 5.0
 
 
 def test_queue_ties_resolve_in_schedule_order():
     q = E.EventQueue()
-    first = q.schedule(E.Event(5.0, E.RECEIVE, node=1))
-    second = q.schedule(E.Event(5.0, E.RECEIVE, node=2))
-    assert first.seq < second.seq
-    assert q.pop().node == 1
-    assert q.pop().node == 2
+    q.schedule(5.0, E.RECEIVE, "first")
+    q.schedule(5.0, E.RECEIVE, "second")
+    assert q.pop()[3] == "first"
+    assert q.pop()[3] == "second"
 
 
 def test_queue_rejects_events_in_the_past():
     q = E.EventQueue()
-    q.schedule(E.Event(2.0, E.PATH_UPDATE))
+    q.schedule(2.0, E.PATH_UPDATE)
     q.pop()
     with pytest.raises(E.SchedulingError):
-        q.schedule(E.Event(1.0, E.PATH_UPDATE))
+        q.schedule(1.0, E.PATH_UPDATE)
+    with pytest.raises(E.SchedulingError):
+        q.schedule(float("nan"), E.PATH_UPDATE)
 
 
 def test_queue_yields_nondecreasing_times():
     q = E.EventQueue()
     for t in (7.0, 1.0, 3.0, 3.0, 0.5, 9.0):
-        q.schedule(E.Event(t, E.PATH_UPDATE))
-    popped = [q.pop().time for _ in range(len(q))]
+        q.schedule(t, E.PATH_UPDATE)
+    popped = [q.pop()[0] for _ in range(len(q))]
     assert popped == sorted(popped)
+
+
+def test_queue_event_at_clock_pops_after_heap_event_due_then():
+    q = E.EventQueue()
+    q.schedule(2.0, E.TRANSMIT_COMPLETE, "a")
+    q.schedule(2.0, E.TRANSMIT_COMPLETE, "b")
+    assert q.pop()[3] == "a"                   # the clock reaches 2.0; "b" is due
+    q.schedule(2.0, E.RECEIVE, "lane")         # at the clock: the same-time lane
+    q.schedule(3.0, E.RECEIVE, "later")
+    assert [q.pop()[3] for _ in range(3)] == ["b", "lane", "later"]
+
+
+def test_queue_end_of_run_beats_same_time_event():
+    q = E.EventQueue()
+    q.schedule(4.0, E.END_OF_RUN)
+    q.schedule(1.0, E.TRANSMIT_COMPLETE)
+    q.pop()
+    q.schedule(4.0, E.RECEIVE)
+    assert q.pop()[2] == E.END_OF_RUN
+    q.schedule(4.0, E.RECEIVE)                 # lane, behind the RECEIVE still on the heap
+    assert [q.pop()[1:3] for _ in range(2)] == [(2, E.RECEIVE), (3, E.RECEIVE)]
+
+
+def test_queue_len_counts_lane_and_heap():
+    q = E.EventQueue()
+    q.schedule(0.0, E.PATH_UPDATE)             # the clock starts at 0: lane
+    q.schedule(1.0, E.PATH_UPDATE)
+    q.schedule(2.0, E.PATH_UPDATE)
+    assert len(q) == 3
+    q.pop()
+    assert len(q) == 2
+    q.schedule(0.0, E.RECEIVE)
+    q.schedule(0.0, E.RECEIVE)
+    assert len(q) == 4
+    while len(q):
+        q.pop()
+    assert q.clock == 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.lists(st.sampled_from([0.0, 0.0, 1e-9, 1.0]),
+                                                      max_size=3)), max_size=40))
+def test_queue_pops_in_heap_reference_order(steps):
+    # Each step pops one event (if any) and then schedules 0-3 events at
+    # clock + d. Both queues must pop identical (time, seq, kind, payload).
+    q, ref = E.EventQueue(), HeapQueue()
+    for kind, delays in steps:
+        if len(q):
+            assert len(ref)
+            assert q.pop() == ref.pop()
+            assert q.clock == ref.clock
+        for i, d in enumerate(delays):
+            q.schedule(q.clock + d, kind, i)
+            ref.schedule(ref.clock + d, kind, i)
+    assert [q.pop() for _ in range(len(q))] == [ref.pop() for _ in range(len(ref))]
 
 
 # -- serialization delays ----------------------------------------------
@@ -226,7 +283,65 @@ def test_receive_at_wrong_node_is_fatal():
     sim = E.Simulation(short_config(), two_node_topology(), [])
     packet = P.Packet(0, P.INTEREST, 0, 0, P.INTEREST_SIZE_BITS, (0, 1), hop_index=1)
     with pytest.raises(E.SimulationError):
-        sim._handle_receive(E.Event(0.0, E.RECEIVE, node=0, packet=packet))
+        sim._handle_receive(0.0, (0, packet))
+
+
+def test_same_instant_arrivals_at_buffer_1_channel():
+    # Tree 0-2, 1-2, 2-3, 3-4, buffer 1, one chunk per interest. At t=1.1
+    # packet 0 (0->2->3->4), packet 1 (2->3) and packet 2 (1->2->3->4) start
+    # their first hops, and all three finish at the same instant T. In
+    # (time, seq) order the three completions run first: packet 1 leaves the
+    # 2->3 buffer. Then the arrivals run: packet 0 takes 2->3 and packet 2
+    # finds it full. Handling packet 0's arrival before packet 1's completion
+    # would drop packet 0 instead.
+    topo = make_topology(5, [(0, 2, 1024.0), (1, 2, 1024.0), (2, 3, 1024.0), (3, 4, 1024.0)],
+                         [Prefix(0, 8, (3,)), Prefix(1, 8, (4,))], 1)
+    interests = [E.InterestEvent(1.1, 0, 1), E.InterestEvent(1.1, 2, 0), E.InterestEvent(1.1, 1, 1)]
+    _, packets = E.run(short_config(nodes=5, edges=4, prefixes=2, buffer_packets=1), topo, interests)
+    check_conservation(packets)
+    assert [(p.packet_id, p.kind, p.nodes, p.outcome) for p in packets] == [
+        (0, P.INTEREST, (0, 2, 3, 4), P.DELIVERED),
+        (1, P.INTEREST, (2, 3), P.DELIVERED),
+        (2, P.INTEREST, (1, 2, 3, 4), P.DROPPED),
+        (3, P.DATA, (3, 2), P.DELIVERED),
+        (4, P.DATA, (4, 3, 2, 0), P.DELIVERED),
+    ]
+    hop = 800_000 / 1_024_000_000
+    assert packets[2].terminated_s == 1.1 + hop
+
+
+def test_tracer_pins_see_every_event_and_response(monkeypatch):
+    # perfbench/spans.py counts events by wrapping EventQueue.pop on the class
+    # and data responses by wrapping protocol.make_data_response on its module.
+    # Inlining the pop, or binding the function at import time, must fail here.
+    from icnsim.cli import build_inputs
+    cfg = mesh_config(buffer_packets=2)
+    topo, scenario = build_inputs(cfg)
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(E.EventQueue, "pop", counting("pop", E.EventQueue.pop))
+    monkeypatch.setattr(P, "make_data_response", counting("response", P.make_data_response))
+    sim = E.Simulation(cfg, topo, scenario)
+    logs = sim.run()
+    monkeypatch.undo()
+
+    # The same run with a heap-only queue handles the same events in the same order.
+    monkeypatch.setattr(E, "EventQueue", HeapQueue)
+    reference = E.Simulation(cfg, topo, scenario)
+    assert reference.run() == logs
+    assert calls["pop"] == reference.queue.pops
+    # END_OF_RUN, path updates, interests, and a completion plus an arrival per
+    # transmission that ended before the horizon.
+    finished = sum(end < cfg.horizon_s for state in sim.channels for end in state.tx_ends)
+    assert calls["pop"] == 1 + len(logs[0].times) + len(scenario) + 2 * finished
+    data = sum(p.kind == P.DATA for p in logs[1])
+    assert data > 0 and calls["response"] == data
 
 
 def mesh_config(**overrides):
