@@ -4,10 +4,14 @@ Packets are source-routed: the full node path is frozen into the packet at
 creation and intermediate nodes simply follow it. Each channel direction
 serializes one packet at a time (delay = size / capacity) from a bounded
 tail-drop queue whose head is the packet on the wire. Periodic path-update
-events measure per-channel load over a sliding window, refresh the cost view,
-and swap in fresh routing tables. Only channels that transmitted inside the
-window are measured; every other channel logs exactly 0.0, which is what its
-busy time over the window would give.
+events measure per-channel load over a sliding window, log them, and
+retire the routing tables. Only channels that transmitted inside the window
+are measured; every other channel logs exactly 0.0, which is what its busy
+time over the window would give. Fresh tables are built at the first lookup
+after an update, from the loads logged at that update: the cost view starts
+from every channel's idle cost, computed once per run, and overwrites only
+the measured channels. An update with no interest before the next one
+builds nothing.
 
 Events are plain ``(time, seq, kind, payload)`` tuples handled in (time, seq)
 order, where ``seq`` is the scheduling order. With no propagation delay every
@@ -143,6 +147,11 @@ class Simulation:
         # Channels that have transmitted since a path update last found them
         # idle for a whole load window, by channel id.
         self._active: dict[int, ChannelState] = {}
+        # Each channel's cost with no load; a cost view overwrites the measured ones.
+        self._idle_costs = routing.idle_costs(topology, config.epsilon_mbps)
+        # Time and (channel id, load) pairs measured at the last path update,
+        # and the tables built from them, or None until a lookup needs them.
+        self._measured: tuple[float, list[tuple[int, float]]] = (0.0, [])
         self.tables: routing.RouteSet | None = None
         self.unroutable = 0
         self._ids = itertools.count()
@@ -183,6 +192,7 @@ class Simulation:
         window = cfg.load_window_s
         lo = now - window
         loads = [0.0] * len(self.channels)
+        measured = []
         active = self._active
         for channel_id, state in list(active.items()):
             if state.tx_ends[-1] <= lo:
@@ -191,16 +201,21 @@ class Simulation:
             else:
                 cap = state.channel.capacity_mbps
                 # Busy time summed from interval arithmetic can round past the window.
-                loads[channel_id] = min(cap, cap * state.busy_seconds(lo, now) / window)
+                load = loads[channel_id] = min(cap, cap * state.busy_seconds(lo, now) / window)
+                measured.append((channel_id, load))
         self.load_log.append(now, loads)
-        view = routing.compute_cost_view(self.topology, loads.__getitem__, now, cfg.epsilon_mbps)
-        self.tables, _ = routing.rebuild_tables(self.topology, view, cfg.k)
+        # The tables wait for the first lookup; many updates see none.
+        self._measured = (now, measured)
+        self.tables = None
         self._update_index += 1
         self.queue.schedule(self._update_index / cfg.path_updates_per_s, PATH_UPDATE)
 
     def _handle_init_interest(self, now, interest):
+        tables = self.tables
+        if tables is None:
+            tables = self.tables = self._build_tables()
         prefix = self.topology.prefixes[interest.prefix_id]
-        paths = self.tables.paths(interest.consumer, interest.prefix_id)
+        paths = tables.paths(interest.consumer, interest.prefix_id)
         try:
             packets = protocol.split_interest(prefix, paths, self.config.mode, now, self._ids)
         except protocol.RouteUnavailableError:
@@ -209,6 +224,14 @@ class Simulation:
         self.packets.extend(packets)
         for packet in packets:
             self._forward(packet, now)
+
+    def _build_tables(self):
+        """Routing tables for the loads measured at the last path update."""
+        cfg = self.config
+        time_s, measured = self._measured
+        view = routing.compute_cost_view(self.topology, self._idle_costs, measured, time_s,
+                                         cfg.epsilon_mbps)
+        return routing.rebuild_tables(self.topology, view, cfg.k)[0]
 
     def _handle_transmit_complete(self, now, state):
         packet = state.queue.popleft()

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate, chain
+from math import sqrt
+from operator import add, mul
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from . import protocol
 
@@ -68,20 +70,21 @@ def _opt(value) -> str:
 
 
 def smooth(series, window: int) -> list[float]:
-    """Trailing moving average: output[i] is the mean of the last `window` points."""
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
-    arr = np.asarray(list(series), dtype=float)
-    if arr.size == 0:
-        return []
-    w = int(window)
-    csum = np.cumsum(arr)
-    out = np.empty_like(arr)
-    head = min(w, arr.size)
-    out[:head] = csum[:head] / np.arange(1, head + 1)
-    if arr.size > w:
-        out[w:] = (csum[w:] - csum[:-w]) / w
-    return [float(v) for v in out]
+    """Trailing moving average: output[i] is the mean of the last `window` points.
+
+    ``window`` must be a whole number of at least 1; a fractional window
+    raises ValueError. Points are summed as one running total from the start,
+    and each mean is a difference of two running totals.
+    """
+    try:
+        w = int(window)
+    except (TypeError, ValueError, OverflowError):
+        w = None
+    if w is None or w != window or w < 1:
+        raise ValueError(f"window must be a whole number of at least 1, got {window!r}")
+    csum = list(accumulate(map(float, series)))
+    head = [c / i for i, c in enumerate(csum[:w], 1)]
+    return head + [(c - before) / w for c, before in zip(csum[w:], csum)]
 
 
 def histogram(delivery_times, bin_width: float) -> list[tuple[float, int]]:
@@ -95,6 +98,47 @@ def histogram(delivery_times, bin_width: float) -> list[tuple[float, int]]:
     return [(i * bin_width, counts[i]) for i in sorted(counts)]
 
 
+def _pairwise_sum(values, lo: int, n: int) -> float:
+    """Sum of ``values[lo:lo + n]`` rounded exactly as numpy's float64 pairwise sum.
+
+    Under 8 values a plain left fold; up to 128, eight accumulators over
+    every eighth value, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and
+    then the tail; above 128, the two halves split at a multiple of 8. Exact
+    zeros are skipped, which changes no sum of values that are all >= +0.0.
+    """
+    if n < 8:
+        return reduce(add, filter(None, values[lo:lo + n]), 0.0)
+    if n <= 128:
+        end = lo + n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = [reduce(add, filter(None, values[i + 8:end:8]), values[i])
+                                          for i in range(lo, lo + 8)]
+        return reduce(add, filter(None, values[end:lo + n]),
+                      ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
+
+
+def _mean(values) -> float:
+    """``np.mean`` of a list of floats, rounded exactly as numpy rounds it."""
+    return _pairwise_sum(values, 0, len(values)) / len(values)
+
+
+def _row_sums(rows) -> tuple[list[float], list[float]]:
+    """Per row, the sum and the sum of squares, each a left fold in column order.
+
+    That is ``np.cumsum(rows, axis=1)[:, -1]``, not a pairwise sum. Idle
+    channels log exact zeros; skipping them changes no sum of loads >= +0.0.
+    """
+    sums = []
+    squares = []
+    for row in rows:
+        busy = list(filter(None, row))
+        sums.append(reduce(add, busy, 0.0))
+        squares.append(reduce(add, map(mul, busy, busy), 0.0))
+    return sums, squares
+
+
 def summarize(load_log: LoadLog, packet_log, warmup_end: float = 50.0, cooldown_start: float = 950.0, *,
               run_id: str = "", mode: str = "", interest_count: int = 0, seed: int = 0) -> RunSummary:
     """Run statistics.
@@ -105,19 +149,22 @@ def summarize(load_log: LoadLog, packet_log, warmup_end: float = 50.0, cooldown_
     at each sample time, averaged over times. Packet statistics are not
     time-filtered; average delivery covers delivered data packets only.
     """
-    loads = np.array([row for t, row in zip(load_log.times, load_log.rows)
-                      if warmup_end <= t < cooldown_start], dtype=float)
-    if loads.size:
-        # Running sums along each row add the channels in id order, one at a
-        # time; a plain sum would pair them up and round differently.
-        channels = loads.shape[1]
-        sums = np.cumsum(loads, axis=1)[:, -1]
-        means = sums / channels
-        sq = np.cumsum(loads * loads, axis=1)[:, -1]
-        variances = np.maximum(sq / channels - means * means, 0.0)
-        offered = float(np.mean(sums))
-        avg = float(np.mean(loads))
-        std = float(np.mean(np.sqrt(variances)))
+    rows = [row for t, row in zip(load_log.times, load_log.rows) if warmup_end <= t < cooldown_start]
+    channels = len(rows[0]) if rows else 0
+    if channels:
+        # Each row is summed in channel order and the means replicate numpy's
+        # pairwise sum, so every figure equals np.cumsum / np.mean to the bit.
+        sums, squares = _row_sums(rows)
+        spreads = []
+        for total, square in zip(sums, squares):
+            mean = total / channels
+            variance = square / channels - mean * mean
+            if variance < 0.0:  # rounding can leave a zero spread just below 0
+                variance = 0.0
+            spreads.append(sqrt(variance))
+        offered = _mean(sums)
+        avg = _mean(list(chain.from_iterable(rows)))
+        std = _mean(spreads)
     else:
         offered = avg = std = 0.0
 
@@ -132,7 +179,8 @@ def summarize(load_log: LoadLog, packet_log, warmup_end: float = 50.0, cooldown_
             dropped += 1
         else:
             unterminated += 1
-    avg_delivery = sum(delays) / len(delays) if delays else None
+    # A left fold: from Python 3.12 sum() of floats is compensated and rounds differently.
+    avg_delivery = reduce(add, delays, 0.0) / len(delays) if delays else None
     return RunSummary(run_id, mode, interest_count, seed, avg_delivery,
                       delivered, dropped, unterminated, offered, avg, std)
 

@@ -45,12 +45,26 @@ class CostView:
     costs: tuple[float, ...]
 
 
-def compute_cost_view(topology: Topology, loads, time_s: float,
-                      epsilon_mbps: float = EPSILON_MBPS) -> CostView:
-    """Snapshot channel costs; ``loads`` maps a channel id to Mbps."""
+def idle_costs(topology: Topology, epsilon_mbps: float = EPSILON_MBPS) -> tuple[float, ...]:
+    """Every channel's cost under a load of exactly 0.0, indexed by channel id."""
     costs = [0.0] * len(topology.channels)
     for ch in topology.channels:
-        costs[ch.channel_id] = channel_cost(ch.capacity_mbps, loads(ch.channel_id), epsilon_mbps)
+        costs[ch.channel_id] = channel_cost(ch.capacity_mbps, 0.0, epsilon_mbps)
+    return tuple(costs)
+
+
+def compute_cost_view(topology: Topology, idle: tuple[float, ...], loads, time_s: float,
+                      epsilon_mbps: float = EPSILON_MBPS) -> CostView:
+    """Snapshot channel costs from the idle base ``idle_costs(topology, epsilon_mbps)``.
+
+    ``loads`` holds ``(channel_id, Mbps)`` pairs in any order, and channel ids
+    are positions in ``topology.channels``. Each channel not named keeps its
+    idle cost, which is exactly its cost under a load of 0.0.
+    """
+    costs = list(idle)
+    channels = topology.channels
+    for channel_id, load in loads:
+        costs[channel_id] = channel_cost(channels[channel_id].capacity_mbps, load, epsilon_mbps)
     return CostView(time_s, tuple(costs))
 
 

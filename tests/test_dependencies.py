@@ -1,0 +1,23 @@
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import icnsim
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_no_module_imports_numpy():
+    # numpy is a test dependency only: importing every icnsim module must not load it.
+    modules = sorted(f"icnsim.{m.name}" for m in pkgutil.iter_modules(icnsim.__path__))
+    assert "icnsim.metrics" in modules and "icnsim.cli" in modules
+    script = ("import importlib, sys\n"
+              f"for name in {modules!r}:\n"
+              "    importlib.import_module(name)\n"
+              "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('numpy'))\n")
+    path = [str(SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -397,6 +397,42 @@ def test_logged_loads_equal_full_window_measurement(overrides):
     assert len(load_log.times) == int(cfg.horizon_s * cfg.path_updates_per_s)
 
 
+def test_tables_built_at_first_lookup_from_update_loads(monkeypatch):
+    # One cost view and one table per update that some interest follows before
+    # the next update, each from the loads logged at that update.
+    from bisect import bisect_right
+
+    from icnsim import routing as R
+    from icnsim.cli import build_inputs
+    cfg = mesh_config(interests=60, epsilon_mbps=2.0)
+    topo, scenario = build_inputs(cfg)
+    views, tables = [], []
+
+    def recording(store, original):
+        def wrapper(*args, **kwargs):
+            store.append(original(*args, **kwargs))
+            return store[-1]
+        return wrapper
+
+    monkeypatch.setattr(R, "compute_cost_view", recording(views, R.compute_cost_view))
+    monkeypatch.setattr(R, "rebuild_tables", recording(tables, R.rebuild_tables))
+    load_log, _ = E.run(cfg, topo, scenario)
+    times = load_log.times
+    epochs = set()
+    for ev in scenario:
+        i = bisect_right(times, ev.time_s) - 1
+        if i > 0 and times[i] == ev.time_s:
+            i -= 1  # an interest at exactly an update's time pops before it
+        epochs.add(i)
+    assert 0 < len(epochs) < len(times)
+    assert [v.time_s for v in views] == [times[i] for i in sorted(epochs)]
+    assert len(tables) == len(views)
+    for view in views:
+        row = load_log.rows[times.index(view.time_s)]
+        assert view.costs == tuple(R.channel_cost(ch.capacity_mbps, row[ch.channel_id], cfg.epsilon_mbps)
+                                   for ch in topo.channels)
+
+
 def test_load_never_exceeds_capacity():
     topo, (load_log, _) = mesh_run(interests=800)
     capacity = {ch.channel_id: ch.capacity_mbps for ch in topo.channels}

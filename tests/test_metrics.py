@@ -42,6 +42,16 @@ def test_smooth_rejects_bad_window():
         M.smooth([1.0], 0)
 
 
+@pytest.mark.parametrize("window", [2.5, 0.5, float("nan"), float("inf"), "2"])
+def test_smooth_rejects_fractional_window(window):
+    with pytest.raises(ValueError):
+        M.smooth([1.0, 2.0, 3.0], window)
+
+
+def test_smooth_accepts_integral_float_window():
+    assert M.smooth([0.0, 3.0, 6.0], 3.0) == M.smooth([0.0, 3.0, 6.0], 3)
+
+
 def test_smooth_empty_series():
     assert M.smooth([], 5) == []
 
@@ -128,6 +138,13 @@ def test_delivery_mean_over_data_packets():
     summary = M.summarize(M.LoadLog(), log)
     assert summary.avg_delivery_s == pytest.approx(3.0)
     assert summary.delivered_count == 3
+
+
+def test_delivery_mean_is_a_left_fold():
+    # Ten delays of 0.1 summed one after another give 0.9999999999999999; a
+    # compensated sum (Python >= 3.12 sum()) would give 1.0 and a mean of 0.1.
+    log = [record(i, created=0.0, terminated=0.1) for i in range(10)]
+    assert M.summarize(M.LoadLog(), log).avg_delivery_s == 0.09999999999999999
 
 
 def test_no_delivered_data_means_absent_average():

@@ -45,7 +45,7 @@ def test_channel_cost_monotone_in_load(capacity, load_a, load_b):
 
 def test_cost_view_idle():
     topo = triangle()
-    view = R.compute_cost_view(topo, lambda c: 0.0, 5.0)
+    view = R.compute_cost_view(topo, R.idle_costs(topo), [], 5.0)
     assert view.time_s == 5.0
     for ch in topo.channels:
         assert view.costs[ch.channel_id] == 1.0 / ch.capacity_mbps
@@ -54,15 +54,49 @@ def test_cost_view_idle():
 def test_cost_view_single_loaded_channel():
     topo = T.make_topology(2, [(0, 1, 2048.0)], [T.Prefix(0, 8, (1,))])
     loaded = topo.channel(0, 1).channel_id
-    view = R.compute_cost_view(topo, lambda c: 1024.0 if c == loaded else 0.0, 0.0)
+    view = R.compute_cost_view(topo, R.idle_costs(topo), [(loaded, 1024.0)], 0.0)
     assert view.costs[loaded] == 1.0 / 1024.0
     assert view.costs[topo.channel(1, 0).channel_id] == 1.0 / 2048.0
 
 
 def test_cost_view_saturated_channel_clamps():
     topo = T.make_topology(2, [(0, 1, 512.0)], [T.Prefix(0, 8, (1,))])
-    view = R.compute_cost_view(topo, lambda c: 512.0, 0.0)
+    view = R.compute_cost_view(topo, R.idle_costs(topo),
+                               [(ch.channel_id, 512.0) for ch in topo.channels], 0.0)
     assert all(c == 1.0 for c in view.costs)
+
+
+@st.composite
+def measured_loads(draw):
+    """A topology, epsilon, and loads measured on some channels, listed in any order.
+
+    Loads include exact 0.0 (a channel that is measured but idle at the
+    update) and loads at or above capacity - epsilon, where the cost clamps.
+    """
+    nodes = draw(st.integers(2, 12))
+    edges = draw(st.integers(nodes - 1, nodes * (nodes - 1) // 2))
+    topology = T.generate_topology(nodes, edges, 3, random.Random(draw(st.integers(0, 10_000))))
+    epsilon = draw(st.sampled_from([R.EPSILON_MBPS, 0.5, 2.0, 37.5]))
+    loads = {}
+    for ch in topology.channels:
+        cap = ch.capacity_mbps
+        loads[ch.channel_id] = draw(st.one_of(
+            st.none(), st.just(0.0), st.floats(0.0, cap),
+            st.sampled_from([cap - epsilon, cap]), st.floats(cap - epsilon, cap)))
+    measured = [(cid, load) for cid, load in loads.items() if load is not None]
+    return topology, epsilon, draw(st.permutations(measured))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=measured_loads())
+def test_cost_view_from_idle_base_equals_full_view(case):
+    topology, epsilon, measured = case
+    by_channel = dict(measured)
+    full = tuple(R.channel_cost(ch.capacity_mbps, by_channel.get(ch.channel_id, 0.0), epsilon)
+                 for ch in topology.channels)
+    view = R.compute_cost_view(topology, R.idle_costs(topology, epsilon), measured, 3.0, epsilon)
+    assert view.costs == full
+    assert view.time_s == 3.0
 
 
 # -- k_shortest_paths --------------------------------------------------
