@@ -14,8 +14,6 @@ from . import topology as topo
 from .config import SimulationConfig
 from .engine import InterestEvent
 
-BATCH_HEADER = "run_id,seed,mode,avg_delivery_s,std_load_mbps,offered_load_mbps,dropped"
-
 _ALIASES = {"out": "out_dir"}
 
 
@@ -89,6 +87,10 @@ def _merge(namespace, parser):
         parser.error(str(exc))
     if runs is not None and runs < 1:
         parser.error(f"runs must be at least 1, got {runs}")
+    fixed = [key for key in ("mode", "k") if key in kwargs]
+    if runs is not None and fixed:
+        parser.error(f"{' and '.join(fixed)} cannot be set for a batch, which runs both modes "
+                     "with their default k")
     return config, runs
 
 
@@ -124,8 +126,7 @@ def build_inputs(config):
     """
     rng_topology = random.Random(f"{config.seed}/topology")
     rng_scenario = random.Random(f"{config.seed}/scenario")
-    topology = topo.generate_topology(config.nodes, config.edges, config.prefixes,
-                                      rng_topology, config.buffer_packets)
+    topology = topo.generate_topology(config.nodes, config.edges, config.prefixes, rng_topology)
     return topology, generate_scenario(config, topology, rng_scenario)
 
 
@@ -162,16 +163,7 @@ def run_batch(config, runs: int):
         for mode in (protocol.MODE_SINGLE, protocol.MODE_MULTI):
             cfg = replace(config, seed=config.seed + offset, mode=mode, k=None)
             summaries.append(_execute(cfg)[3])
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "batch.csv"
-    with open(path, "w", newline="") as f:
-        f.write(BATCH_HEADER + "\n")
-        for s in summaries:
-            avg = "" if s.avg_delivery_s is None else f"{s.avg_delivery_s:.6f}"
-            f.write(f"{s.run_id},{s.seed},{s.mode},{avg},{s.std_load_mbps:.6f},"
-                    f"{s.offered_load_mbps:.6f},{s.dropped_count}\n")
-    return summaries, path
+    return summaries, metrics.write_batch(summaries, Path(config.out_dir) / "batch.csv")
 
 
 def main(argv=None) -> int:

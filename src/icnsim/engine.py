@@ -2,16 +2,19 @@
 
 Packets are source-routed: the full node path is frozen into the packet at
 creation and intermediate nodes simply follow it. Each channel direction
-serializes one packet at a time (delay = size / capacity) from a bounded
-tail-drop queue whose head is the packet on the wire. Periodic path-update
-events measure per-channel load over a sliding window, log them, and
-retire the routing tables. Only channels that transmitted inside the window
-are measured; every other channel logs exactly 0.0, which is what its busy
-time over the window would give. Fresh tables are built at the first lookup
-after an update, from the loads logged at that update: the cost view starts
-from every channel's idle cost, computed once per run, and overwrites only
-the measured channels. An update with no interest before the next one
-builds nothing.
+serializes one packet at a time (delay = size / capacity) from a tail-drop
+queue of at most ``config.buffer_packets`` packets, whose head is the packet
+on the wire. Every run setting, buffer size and cost clamp included, comes
+from the ``SimulationConfig``; the topology holds only the graph.
+
+Periodic path-update events measure per-channel load over a sliding window,
+log them, and retire the routing tables. Only channels that transmitted
+inside the window are measured; every other channel logs exactly 0.0, which
+is what its busy time over the window would give. Fresh tables are built at
+the first lookup after an update, from the loads logged at that update: the
+cost view, a tuple of costs indexed by channel id, starts from every
+channel's idle cost, computed once per run, and overwrites only the measured
+channels. An update with no interest before the next one builds nothing.
 
 Events are plain ``(time, seq, kind, payload)`` tuples handled in (time, seq)
 order, where ``seq`` is the scheduling order. With no propagation delay every
@@ -149,11 +152,10 @@ class Simulation:
         self._active: dict[int, ChannelState] = {}
         # Each channel's cost with no load; a cost view overwrites the measured ones.
         self._idle_costs = routing.idle_costs(topology, config.epsilon_mbps)
-        # Time and (channel id, load) pairs measured at the last path update,
-        # and the tables built from them, or None until a lookup needs them.
-        self._measured: tuple[float, list[tuple[int, float]]] = (0.0, [])
+        # (channel id, load) pairs measured at the last path update, and the
+        # tables built from them, or None until a lookup needs them.
+        self._measured: list[tuple[int, float]] = []
         self.tables: routing.RouteSet | None = None
-        self.unroutable = 0
         self._ids = itertools.count()
         self._update_index = 0
         # The horizon sentinel goes in first so it wins the (time, seq) tie
@@ -205,7 +207,7 @@ class Simulation:
                 measured.append((channel_id, load))
         self.load_log.append(now, loads)
         # The tables wait for the first lookup; many updates see none.
-        self._measured = (now, measured)
+        self._measured = measured
         self.tables = None
         self._update_index += 1
         self.queue.schedule(self._update_index / cfg.path_updates_per_s, PATH_UPDATE)
@@ -216,11 +218,7 @@ class Simulation:
             tables = self.tables = self._build_tables()
         prefix = self.topology.prefixes[interest.prefix_id]
         paths = tables.paths(interest.consumer, interest.prefix_id)
-        try:
-            packets = protocol.split_interest(prefix, paths, self.config.mode, now, self._ids)
-        except protocol.RouteUnavailableError:
-            self.unroutable += 1
-            return
+        packets = protocol.split_interest(prefix, paths, self.config.mode, now, self._ids)
         self.packets.extend(packets)
         for packet in packets:
             self._forward(packet, now)
@@ -228,8 +226,7 @@ class Simulation:
     def _build_tables(self):
         """Routing tables for the loads measured at the last path update."""
         cfg = self.config
-        time_s, measured = self._measured
-        view = routing.compute_cost_view(self.topology, self._idle_costs, measured, time_s,
+        view = routing.compute_cost_view(self.topology, self._idle_costs, self._measured,
                                          cfg.epsilon_mbps)
         return routing.rebuild_tables(self.topology, view, cfg.k)[0]
 
@@ -269,7 +266,7 @@ class Simulation:
         packet.hop_index = hop + 1
         state = self._channel_states[route[hop], route[hop + 1]]
         queue = state.queue
-        if len(queue) >= state.channel.buffer_packets:
+        if len(queue) >= self.config.buffer_packets:
             self._terminate(packet, protocol.DROPPED, now)
             return
         queue.append(packet)
@@ -292,6 +289,9 @@ def run(config, topology, interests):
     """Run one simulation; returns (load_log, packets), packets in packet-id order.
 
     Raises ValueError if an interest has a negative or NaN time, names an unknown
-    prefix, or names a consumer that is not a node or anchors the prefix.
+    prefix, or names a consumer that is not a node or anchors the prefix. Raises
+    ``protocol.RouteUnavailableError``, a ValueError, when an interest's consumer
+    can reach no anchor of its prefix; only a hand-built disconnected
+    ``Topology`` allows that, since ``make_topology`` rejects one.
     """
     return Simulation(config, topology, interests).run()

@@ -63,6 +63,7 @@ PACKETS_HEADER = "run_id,packet_id,kind,prefix_id,chunk_index,src,dst,created_s,
 SUMMARY_HEADER = ("run_id,mode,interest_count,seed,avg_delivery_s,delivered_count,dropped_count,"
                   "unterminated_count,offered_load_mbps,avg_load_mbps,std_load_mbps")
 HISTOGRAM_HEADER = "bin_start_s,count"
+BATCH_HEADER = "run_id,seed,mode,avg_delivery_s,std_load_mbps,offered_load_mbps,dropped"
 
 
 def _opt(value) -> str:
@@ -238,4 +239,15 @@ def write_histogram(bins, path) -> Path:
     with open(path, "w", newline="") as f:
         f.write(HISTOGRAM_HEADER + "\n")
         f.writelines(f"{start:.6f},{count}\n" for start, count in bins)
+    return path
+
+
+def write_batch(summaries, path) -> Path:
+    """batch.csv: one row per run summary, in the order given."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as f:
+        f.write(BATCH_HEADER + "\n")
+        f.writelines(f"{s.run_id},{s.seed},{s.mode},{_opt(s.avg_delivery_s)},{s.std_load_mbps:.6f},"
+                     f"{s.offered_load_mbps:.6f},{s.dropped_count}\n" for s in summaries)
     return path

@@ -21,8 +21,12 @@ INTEREST_SIZE_BITS = 800_000
 DATA_SIZE_BITS = 64_000_000
 
 
-class RouteUnavailableError(RuntimeError):
-    """No forwarding path is known for the requested prefix."""
+class RouteUnavailableError(ValueError):
+    """No forwarding path is known for the requested prefix.
+
+    Costs are finite and positive, so this means the consumer cannot reach
+    any anchor of the prefix: a disconnected topology, which is bad input.
+    """
 
 
 @dataclass(slots=True)

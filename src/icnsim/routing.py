@@ -23,13 +23,12 @@ from math import inf
 
 from .topology import Topology
 
-EPSILON_MBPS = 1.0
 # Relative slack of the spur-search cut-off; far above the rounding of a path
 # cost summed in two orders, far below any real cost difference.
 CUTOFF_SLACK = 1e-9
 
 
-def channel_cost(capacity_mbps: float, load_mbps: float, epsilon_mbps: float = EPSILON_MBPS) -> float:
+def channel_cost(capacity_mbps: float, load_mbps: float, epsilon_mbps: float) -> float:
     """Cost of one channel direction under the given measured load."""
     residual = capacity_mbps - load_mbps
     if residual < epsilon_mbps:
@@ -37,15 +36,7 @@ def channel_cost(capacity_mbps: float, load_mbps: float, epsilon_mbps: float = E
     return 1.0 / residual
 
 
-@dataclass(frozen=True)
-class CostView:
-    """Per-channel costs at one instant, indexed by channel id."""
-
-    time_s: float
-    costs: tuple[float, ...]
-
-
-def idle_costs(topology: Topology, epsilon_mbps: float = EPSILON_MBPS) -> tuple[float, ...]:
+def idle_costs(topology: Topology, epsilon_mbps: float) -> tuple[float, ...]:
     """Every channel's cost under a load of exactly 0.0, indexed by channel id."""
     costs = [0.0] * len(topology.channels)
     for ch in topology.channels:
@@ -53,19 +44,20 @@ def idle_costs(topology: Topology, epsilon_mbps: float = EPSILON_MBPS) -> tuple[
     return tuple(costs)
 
 
-def compute_cost_view(topology: Topology, idle: tuple[float, ...], loads, time_s: float,
-                      epsilon_mbps: float = EPSILON_MBPS) -> CostView:
-    """Snapshot channel costs from the idle base ``idle_costs(topology, epsilon_mbps)``.
+def compute_cost_view(topology: Topology, idle: tuple[float, ...], loads,
+                      epsilon_mbps: float) -> tuple[float, ...]:
+    """Cost view: every channel's cost under ``loads``, indexed by channel id.
 
-    ``loads`` holds ``(channel_id, Mbps)`` pairs in any order, and channel ids
-    are positions in ``topology.channels``. Each channel not named keeps its
-    idle cost, which is exactly its cost under a load of 0.0.
+    ``idle`` is ``idle_costs(topology, epsilon_mbps)``. ``loads`` holds
+    ``(channel_id, Mbps)`` pairs in any order, and channel ids are positions
+    in ``topology.channels``. Each channel not named keeps its idle cost,
+    which is exactly its cost under a load of 0.0.
     """
     costs = list(idle)
     channels = topology.channels
     for channel_id, load in loads:
         costs[channel_id] = channel_cost(channels[channel_id].capacity_mbps, load, epsilon_mbps)
-    return CostView(time_s, tuple(costs))
+    return tuple(costs)
 
 
 @dataclass(frozen=True)
@@ -89,13 +81,12 @@ def _dist_to_targets(topology, costs, targets):
         heap.append((0.0, t))
     heapq.heapify(heap)
     adjacency_in = topology.adjacency_in
-    cost = costs.costs
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
         for u, ch in adjacency_in[v]:
-            nd = d + cost[ch]
+            nd = d + costs[ch]
             if nd < dist[u]:
                 dist[u] = nd
                 heapq.heappush(heap, (nd, u))
@@ -123,7 +114,6 @@ def _best_path(topology, costs, src, targets, bound, banned_nodes, banned_first_
     f = bound[src]
     if f == inf or f > limit or src in banned_nodes:
         return None
-    cost = costs.costs
     adjacency = topology.adjacency
     done = set(banned_nodes)
     heap = [(f, (src,), 0.0)]
@@ -144,7 +134,7 @@ def _best_path(topology, costs, src, targets, bound, banned_nodes, banned_first_
             hb = bound[nbr]
             if hb == inf:
                 continue
-            ng = g + cost[ch]
+            ng = g + costs[ch]
             f = ng + hb
             if f > limit:
                 continue
@@ -155,10 +145,9 @@ def _best_path(topology, costs, src, targets, bound, banned_nodes, banned_first_
 def _path_cost(topology, costs, nodes):
     # Left fold in node order; candidate costs must sum exactly like a
     # root-to-leaf enumeration so tie-breaking stays reproducible.
-    cost = costs.costs
     g = 0.0
     for a, b in zip(nodes, nodes[1:]):
-        g += cost[topology.channel(a, b).channel_id]
+        g += costs[topology.channel(a, b).channel_id]
     return g
 
 
@@ -176,7 +165,6 @@ def _k_shortest(topology, costs, src, targets, k, bound):
     first = _best_path(topology, costs, src, targets, bound, (), (), False, inf)
     if first is None:
         return []
-    channel_costs = costs.costs
     accepted = [(first[0], first[1])]
     candidates: list[tuple[float, tuple[int, ...]]] = []
     seen = {first[1]}
@@ -190,7 +178,7 @@ def _k_shortest(topology, costs, src, targets, k, bound):
         for j in range(len(base)):
             spur = base[j]
             if j:
-                root_cost += channel_costs[topology.channel(base[j - 1], spur).channel_id]
+                root_cost += costs[topology.channel(base[j - 1], spur).channel_id]
             root = base[: j + 1]
             banned_hops = set()
             ban_trivial = False
@@ -217,7 +205,8 @@ def _k_shortest(topology, costs, src, targets, k, bound):
     return [RoutePath(nodes, cost) for cost, nodes in accepted]
 
 
-def k_shortest_paths(topology: Topology, costs: CostView, src: int, targets, k: int) -> list[RoutePath]:
+def k_shortest_paths(topology: Topology, costs: tuple[float, ...], src: int, targets,
+                     k: int) -> list[RoutePath]:
     """Up to k cheapest loopless paths from src ending at any target.
 
     Results are ordered by ascending cost, ties by node sequence; fewer than k
@@ -289,7 +278,7 @@ class Rib:
         return tuple((a, d) for d, a in ranked)
 
 
-def rebuild_tables(topology: Topology, costs: CostView, k: int) -> tuple[RouteSet, Rib]:
+def rebuild_tables(topology: Topology, costs: tuple[float, ...], k: int) -> tuple[RouteSet, Rib]:
     """Fresh FIB/RIB snapshots for one cost view."""
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 CAPACITY_MIN_MBPS = 512.0
 CAPACITY_MAX_MBPS = 2048.0
 DATA_OBJECT_SIZES_MB = (8, 16, 24, 32, 40, 48, 56, 64)
-DEFAULT_BUFFER_PACKETS = 64
 MAX_ANCHORS = 3
 
 
@@ -25,7 +24,6 @@ class Channel:
     from_node: int
     to_node: int
     capacity_mbps: float
-    buffer_packets: int = DEFAULT_BUFFER_PACKETS
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,7 @@ class Topology:
         return [ch for ch in self.channels if ch.from_node < ch.to_node]
 
 
-def make_topology(node_count, edges, prefixes, buffer_packets=DEFAULT_BUFFER_PACKETS) -> Topology:
+def make_topology(node_count, edges, prefixes) -> Topology:
     """Build and validate a topology from undirected (u, v, capacity) edges.
 
     Each edge becomes a pair of directed channels with equal capacity; channel
@@ -102,8 +100,8 @@ def make_topology(node_count, edges, prefixes, buffer_packets=DEFAULT_BUFFER_PAC
         seen_pairs.add(pair)
         if not CAPACITY_MIN_MBPS <= capacity <= CAPACITY_MAX_MBPS:
             raise ValueError(f"capacity {capacity} outside [{CAPACITY_MIN_MBPS}, {CAPACITY_MAX_MBPS}] Mbps")
-        channels.append(Channel(2 * i, u, v, capacity, buffer_packets))
-        channels.append(Channel(2 * i + 1, v, u, capacity, buffer_packets))
+        channels.append(Channel(2 * i, u, v, capacity))
+        channels.append(Channel(2 * i + 1, v, u, capacity))
     if not _connected(node_count, seen_pairs):
         raise ValueError("graph is not connected")
     for i, p in enumerate(prefixes):
@@ -119,8 +117,7 @@ def make_topology(node_count, edges, prefixes, buffer_packets=DEFAULT_BUFFER_PAC
     return Topology(tuple(range(node_count)), tuple(channels), tuple(prefixes))
 
 
-def generate_topology(node_count, edge_count, prefix_count, rng: random.Random,
-                      buffer_packets=DEFAULT_BUFFER_PACKETS) -> Topology:
+def generate_topology(node_count, edge_count, prefix_count, rng: random.Random) -> Topology:
     """Random connected topology with anchored prefixes.
 
     A uniform random spanning tree guarantees connectivity; the remaining
@@ -151,7 +148,7 @@ def generate_topology(node_count, edge_count, prefix_count, rng: random.Random,
     for pid in range(prefix_count):
         anchors = tuple(sorted(rng.sample(range(node_count), rng.randint(1, max_anchors))))
         prefixes.append(Prefix(pid, rng.choice(DATA_OBJECT_SIZES_MB), anchors))
-    return make_topology(node_count, edges, prefixes, buffer_packets)
+    return make_topology(node_count, edges, prefixes)
 
 
 def serialize_topology(topology: Topology) -> str:

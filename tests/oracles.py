@@ -15,7 +15,6 @@ from math import inf
 
 from icnsim import topology as topo_mod
 from icnsim import protocol
-from icnsim.routing import CostView
 
 
 def enumerate_anchor_paths(topology, costs, src, targets):
@@ -26,7 +25,6 @@ def enumerate_anchor_paths(topology, costs, src, targets):
     """
     target_set = set(targets)
     adjacency = topology.adjacency
-    cost = costs.costs
     found = []
 
     def walk(node, path, visited, acc):
@@ -37,7 +35,7 @@ def enumerate_anchor_paths(topology, costs, src, targets):
                 continue
             path.append(nbr)
             visited.add(nbr)
-            walk(nbr, path, visited, acc + cost[ch])
+            walk(nbr, path, visited, acc + costs[ch])
             path.pop()
             visited.remove(nbr)
 
@@ -59,14 +57,13 @@ def reference_dijkstra(topology, costs, src, targets):
     dist[src] = 0.0
     heap = [(0.0, src)]
     settled = set()
-    cost = costs.costs
     while heap:
         d, u = heapq.heappop(heap)
         if u in settled:
             continue
         settled.add(u)
         for v, ch in topology.adjacency[u]:
-            nd = d + cost[ch]
+            nd = d + costs[ch]
             if nd < dist[v]:
                 dist[v] = nd
                 parent[v] = u
@@ -81,7 +78,7 @@ def reference_dijkstra(topology, costs, src, targets):
 
 
 def random_cost_view(topology, rng):
-    return CostView(0.0, tuple(rng.uniform(0.001, 1.0) for _ in topology.channels))
+    return tuple(rng.uniform(0.001, 1.0) for _ in topology.channels)
 
 
 def random_case(seed, max_nodes=8):

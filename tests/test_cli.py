@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from icnsim import cli
+from icnsim import cli, metrics
 from icnsim import protocol as P
 from icnsim.config import SimulationConfig
 from icnsim.topology import serialize_topology
@@ -200,7 +200,7 @@ def test_run_batch_rows_and_consistency(tmp_path):
     assert [s.seed for s in summaries] == [3, 3, 4, 4]
 
     lines = path.read_text().splitlines()
-    assert lines[0] == cli.BATCH_HEADER
+    assert lines[0] == metrics.BATCH_HEADER
     assert len(lines) == 5
 
     single_again, _ = cli.run_single(small_config(tmp_path / "solo", seed=4, mode=P.MODE_MULTI))
@@ -213,6 +213,25 @@ def test_run_batch_deterministic(tmp_path):
     rows_b, path_b = cli.run_batch(small_config(tmp_path / "b", seed=1), 2)
     assert rows_a == rows_b
     assert path_a.read_text() == path_b.read_text()
+
+
+@pytest.mark.parametrize("key, value", [("mode", "multi"), ("k", "5")])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_batch_rejects_mode_and_k(tmp_path, capsys, source, key, value):
+    # A batch runs both modes, each with its default k: either setting would be ignored.
+    config_file = tmp_path / "run.conf"
+    if source == "flag":
+        config_file.write_text("")
+        args = ["--runs", "1", f"--{key}", value]
+    else:
+        config_file.write_text(f"runs=1\n{key}={value}\n")
+        args = []
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(config_file), "--nodes", "5", "--edges", "6", "--prefixes", "2",
+                  "--interests", "10", "--out", str(tmp_path / "out"), *args])
+    assert exc.value.code == 2
+    assert f"{key} cannot be set for a batch" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_batch_validates_runs(tmp_path):

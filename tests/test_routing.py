@@ -6,13 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from icnsim import routing as R
 from icnsim import topology as T
+from icnsim.config import SimulationConfig
 
 from oracles import (brute_force_k_paths, enumerate_anchor_paths, random_case,
                      random_cost_view, reference_dijkstra)
 
 
+EPS = SimulationConfig().epsilon_mbps
+
+
 def unit_costs(topology):
-    return R.CostView(0.0, tuple(1.0 for _ in topology.channels))
+    return tuple(1.0 for _ in topology.channels)
 
 
 def triangle():
@@ -23,14 +27,14 @@ def triangle():
 # -- channel_cost ------------------------------------------------------
 
 def test_channel_cost_examples():
-    assert R.channel_cost(1000.0, 0.0) == 0.001
-    assert R.channel_cost(2048.0, 1024.0) == 1.0 / 1024.0
-    assert R.channel_cost(512.0, 512.0) == 1.0
+    assert R.channel_cost(1000.0, 0.0, EPS) == 0.001
+    assert R.channel_cost(2048.0, 1024.0, EPS) == 1.0 / 1024.0
+    assert R.channel_cost(512.0, 512.0, EPS) == 1.0
 
 
 @given(capacity=st.floats(512.0, 2048.0), load=st.floats(0.0, 2048.0))
 def test_channel_cost_bounds(capacity, load):
-    cost = R.channel_cost(capacity, load)
+    cost = R.channel_cost(capacity, load, EPS)
     assert 0.0 < cost <= 1.0
 
 
@@ -38,32 +42,31 @@ def test_channel_cost_bounds(capacity, load):
        load_a=st.floats(0.0, 511.0), load_b=st.floats(0.0, 511.0))
 def test_channel_cost_monotone_in_load(capacity, load_a, load_b):
     lo, hi = sorted((load_a, load_b))
-    assert R.channel_cost(capacity, lo) <= R.channel_cost(capacity, hi)
+    assert R.channel_cost(capacity, lo, EPS) <= R.channel_cost(capacity, hi, EPS)
 
 
 # -- compute_cost_view -------------------------------------------------
 
 def test_cost_view_idle():
     topo = triangle()
-    view = R.compute_cost_view(topo, R.idle_costs(topo), [], 5.0)
-    assert view.time_s == 5.0
+    view = R.compute_cost_view(topo, R.idle_costs(topo, EPS), [], EPS)
     for ch in topo.channels:
-        assert view.costs[ch.channel_id] == 1.0 / ch.capacity_mbps
+        assert view[ch.channel_id] == 1.0 / ch.capacity_mbps
 
 
 def test_cost_view_single_loaded_channel():
     topo = T.make_topology(2, [(0, 1, 2048.0)], [T.Prefix(0, 8, (1,))])
     loaded = topo.channel(0, 1).channel_id
-    view = R.compute_cost_view(topo, R.idle_costs(topo), [(loaded, 1024.0)], 0.0)
-    assert view.costs[loaded] == 1.0 / 1024.0
-    assert view.costs[topo.channel(1, 0).channel_id] == 1.0 / 2048.0
+    view = R.compute_cost_view(topo, R.idle_costs(topo, EPS), [(loaded, 1024.0)], EPS)
+    assert view[loaded] == 1.0 / 1024.0
+    assert view[topo.channel(1, 0).channel_id] == 1.0 / 2048.0
 
 
 def test_cost_view_saturated_channel_clamps():
     topo = T.make_topology(2, [(0, 1, 512.0)], [T.Prefix(0, 8, (1,))])
-    view = R.compute_cost_view(topo, R.idle_costs(topo),
-                               [(ch.channel_id, 512.0) for ch in topo.channels], 0.0)
-    assert all(c == 1.0 for c in view.costs)
+    view = R.compute_cost_view(topo, R.idle_costs(topo, EPS),
+                               [(ch.channel_id, 512.0) for ch in topo.channels], EPS)
+    assert all(c == 1.0 for c in view)
 
 
 @st.composite
@@ -76,7 +79,7 @@ def measured_loads(draw):
     nodes = draw(st.integers(2, 12))
     edges = draw(st.integers(nodes - 1, nodes * (nodes - 1) // 2))
     topology = T.generate_topology(nodes, edges, 3, random.Random(draw(st.integers(0, 10_000))))
-    epsilon = draw(st.sampled_from([R.EPSILON_MBPS, 0.5, 2.0, 37.5]))
+    epsilon = draw(st.sampled_from([EPS, 0.5, 2.0, 37.5]))
     loads = {}
     for ch in topology.channels:
         cap = ch.capacity_mbps
@@ -94,9 +97,8 @@ def test_cost_view_from_idle_base_equals_full_view(case):
     by_channel = dict(measured)
     full = tuple(R.channel_cost(ch.capacity_mbps, by_channel.get(ch.channel_id, 0.0), epsilon)
                  for ch in topology.channels)
-    view = R.compute_cost_view(topology, R.idle_costs(topology, epsilon), measured, 3.0, epsilon)
-    assert view.costs == full
-    assert view.time_s == 3.0
+    view = R.compute_cost_view(topology, R.idle_costs(topology, epsilon), measured, epsilon)
+    assert view == full
 
 
 # -- k_shortest_paths --------------------------------------------------
@@ -170,7 +172,7 @@ def tie_heavy_case(draw):
                                     min_size=len(channels), max_size=len(channels))))
     anchors = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))))
     topology = T.Topology(tuple(range(n)), tuple(channels), (T.Prefix(0, 8, anchors),))
-    return topology, R.CostView(0.0, costs), draw(st.integers(0, n - 1)), draw(st.integers(1, 8))
+    return topology, costs, draw(st.integers(0, n - 1)), draw(st.integers(1, 8))
 
 
 @settings(max_examples=300, deadline=None)
@@ -206,7 +208,7 @@ def test_k1_is_dijkstra(seed):
 @given(seed=st.integers(0, 10_000), scale=st.sampled_from([0.25, 3.0, 17.5]))
 def test_scaling_costs_preserves_routes(seed, scale):
     topology, view = random_case(seed)
-    scaled = R.CostView(view.time_s, tuple(c * scale for c in view.costs))
+    scaled = tuple(c * scale for c in view)
     src = seed % len(topology.nodes)
     targets = topology.prefixes[0].anchors
     base = [p.nodes for p in R.k_shortest_paths(topology, view, src, targets, 3)]
