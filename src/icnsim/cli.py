@@ -143,9 +143,7 @@ def run_single(config):
     """One run; writes loads.csv, packets.csv, summary.csv, histogram.csv."""
     topology, load_log, packet_log, summary = _execute(config)
     paths = metrics.write_csv(topology, load_log, packet_log, summary, config.out_dir)
-    delays = [r.terminated_s - r.created_s for r in packet_log
-              if r.kind == protocol.DATA and r.outcome == protocol.DELIVERED]
-    bins = metrics.histogram(delays, config.histogram_bin_s)
+    bins = metrics.histogram(metrics.delivery_times(packet_log), config.histogram_bin_s)
     paths.append(metrics.write_histogram(bins, Path(config.out_dir) / "histogram.csv"))
     return summary, paths
 

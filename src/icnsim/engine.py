@@ -24,8 +24,9 @@ keeps (time, seq) order exactly: every heap event due at the current time was
 scheduled before the clock reached it, so it pops first, and the lane is
 drained before the clock moves.
 
-A packet's object is its log record. It joins the log when it is created, and
-ids come from one counter in creation order, so the log is in packet-id order.
+A packet's object is its log record. It joins the log when it is created, as
+``Unterminated`` until a delivery or drop ends it, and ids come from one
+counter in creation order, so the log is in packet-id order.
 """
 
 from __future__ import annotations
@@ -164,8 +165,9 @@ class Simulation:
         self.queue.schedule(0.0, PATH_UPDATE)
         consumers = [set(topology.nodes).difference(p.anchors) for p in topology.prefixes]
         for ev in interests:
-            if not 0.0 <= ev.time_s:
-                raise ValueError(f"{ev}: needs a time that is a number of seconds >= 0")
+            if not 0.0 <= ev.time_s < config.horizon_s:
+                # At or after the horizon it would never pop: END_OF_RUN wins the tie.
+                raise ValueError(f"{ev}: needs a time in seconds in [0, horizon_s={config.horizon_s})")
             if not (0 <= ev.prefix_id < len(consumers) and ev.consumer in consumers[ev.prefix_id]):
                 raise ValueError(f"{ev}: needs a known prefix and a consumer node that is not its anchor")
             self.queue.schedule(ev.time_s, INIT_INTEREST, ev)
@@ -182,9 +184,6 @@ class Simulation:
             if kind == END_OF_RUN:
                 break
             handlers[kind](now, payload)
-        for packet in self.packets:
-            if packet.outcome is None:
-                packet.outcome = protocol.UNTERMINATED
         return self.load_log, self.packets
 
     # -- event handlers -------------------------------------------------
@@ -288,8 +287,9 @@ class Simulation:
 def run(config, topology, interests):
     """Run one simulation; returns (load_log, packets), packets in packet-id order.
 
-    Raises ValueError if an interest has a negative or NaN time, names an unknown
-    prefix, or names a consumer that is not a node or anchors the prefix. Raises
+    Raises ValueError if an interest's time is NaN or outside
+    [0, ``config.horizon_s``), if it names an unknown prefix, or if it names a
+    consumer that is not a node or anchors the prefix. Raises
     ``protocol.RouteUnavailableError``, a ValueError, when an interest's consumer
     can reach no anchor of its prefix; only a hand-built disconnected
     ``Topology`` allows that, since ``make_topology`` rejects one.

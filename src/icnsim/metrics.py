@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, chain
@@ -99,6 +100,12 @@ def histogram(delivery_times, bin_width: float) -> list[tuple[float, int]]:
     return [(i * bin_width, counts[i]) for i in sorted(counts)]
 
 
+def delivery_times(packet_log) -> list[float]:
+    """Creation-to-arrival time of every delivered data chunk, in log order."""
+    return [r.terminated_s - r.created_s for r in packet_log
+            if r.kind == protocol.DATA and r.outcome == protocol.DELIVERED]
+
+
 def _pairwise_sum(values, lo: int, n: int) -> float:
     """Sum of ``values[lo:lo + n]`` rounded exactly as numpy's float64 pairwise sum.
 
@@ -148,7 +155,7 @@ def summarize(load_log: LoadLog, packet_log, warmup_end: float = 50.0, cooldown_
     offered load is the per-sample-time sum over channels averaged over times,
     and the load spread is the population standard deviation across channels
     at each sample time, averaged over times. Packet statistics are not
-    time-filtered; average delivery covers delivered data packets only.
+    time-filtered; average delivery is the mean of ``delivery_times``.
     """
     rows = [row for t, row in zip(load_log.times, load_log.rows) if warmup_end <= t < cooldown_start]
     channels = len(rows[0]) if rows else 0
@@ -169,21 +176,13 @@ def summarize(load_log: LoadLog, packet_log, warmup_end: float = 50.0, cooldown_
     else:
         offered = avg = std = 0.0
 
-    delivered = dropped = unterminated = 0
-    delays = []
-    for r in packet_log:
-        if r.outcome == protocol.DELIVERED:
-            delivered += 1
-            if r.kind == protocol.DATA:
-                delays.append(r.terminated_s - r.created_s)
-        elif r.outcome == protocol.DROPPED:
-            dropped += 1
-        else:
-            unterminated += 1
+    outcomes = Counter(r.outcome for r in packet_log)
+    delays = delivery_times(packet_log)
     # A left fold: from Python 3.12 sum() of floats is compensated and rounds differently.
     avg_delivery = reduce(add, delays, 0.0) / len(delays) if delays else None
     return RunSummary(run_id, mode, interest_count, seed, avg_delivery,
-                      delivered, dropped, unterminated, offered, avg, std)
+                      outcomes[protocol.DELIVERED], outcomes[protocol.DROPPED],
+                      outcomes[protocol.UNTERMINATED], offered, avg, std)
 
 
 def write_csv(topology, load_log: LoadLog, packet_log, summary: RunSummary, out_dir) -> list[Path]:
@@ -227,7 +226,7 @@ def _packet_rows(run_id, packet_log):
         nodes = r.nodes
         route = routes.get(nodes)
         if route is None:
-            route = routes[nodes] = (f"{nodes[0]},{nodes[-1]}", "-".join(map(str, nodes)))
+            route = routes[nodes] = (f"{r.src},{r.dst}", r.route)
         terminated = "" if r.terminated_s is None else f"{r.terminated_s:.6f}"
         yield (f"{run_id},{r.packet_id},{r.kind},{r.prefix_id},{r.chunk_index},{route[0]},"
                f"{r.created_s:.6f},{terminated},{r.outcome},{route[1]}\n")

@@ -47,7 +47,7 @@ class Packet:
     hop_index: int = 0
     created_s: float = 0.0
     terminated_s: float | None = None
-    outcome: str | None = None
+    outcome: str = UNTERMINATED
 
     @property
     def src(self) -> int:

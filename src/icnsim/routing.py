@@ -1,4 +1,4 @@
-"""Load-aware channel costs and loopless k-shortest-path tables (FIB/RIB).
+"""Load-aware channel costs and loopless k-shortest-path forwarding tables (FIB).
 
 Path ranking is a Yen-style deviation search seeded by a best-first shortest
 path over (cost, node-sequence) labels, so equal-cost paths always order
@@ -71,8 +71,8 @@ class RoutePath:
 def _dist_to_targets(topology, costs, targets):
     """Cheapest directed cost from every node to its nearest target.
 
-    Reverse multi-source Dijkstra over incoming channels; used both as the RIB
-    distance table and as an exact lower bound for the path search.
+    Reverse multi-source Dijkstra over incoming channels; the exact lower
+    bound of the path search.
     """
     dist = [inf] * len(topology.nodes)
     heap = []
@@ -205,23 +205,6 @@ def _k_shortest(topology, costs, src, targets, k, bound):
     return [RoutePath(nodes, cost) for cost, nodes in accepted]
 
 
-def k_shortest_paths(topology: Topology, costs: tuple[float, ...], src: int, targets,
-                     k: int) -> list[RoutePath]:
-    """Up to k cheapest loopless paths from src ending at any target.
-
-    Results are ordered by ascending cost, ties by node sequence; fewer than k
-    paths are returned when fewer loopless paths exist, and an empty list when
-    src cannot reach any target. A src that is itself a target yields the
-    zero-cost single-node path first.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    target_set = frozenset(targets)
-    if not target_set:
-        raise ValueError("targets must be non-empty")
-    return _k_shortest(topology, costs, src, target_set, k, _dist_to_targets(topology, costs, target_set))
-
-
 class RouteSet:
     """FIB: up to k cheapest anchor-bound paths per (node, prefix).
 
@@ -246,6 +229,13 @@ class RouteSet:
         return bound
 
     def paths(self, node: int, prefix_id: int) -> tuple[RoutePath, ...]:
+        """Up to k cheapest loopless paths from node ending at any anchor of the prefix.
+
+        Paths are ordered by ascending cost, ties by node sequence; fewer than
+        k come back when fewer loopless paths exist, and none when node cannot
+        reach an anchor. An anchor node gets its zero-cost single-node path
+        first.
+        """
         key = (node, prefix_id)
         entry = self._entries.get(key)
         if entry is None:
@@ -256,30 +246,13 @@ class RouteSet:
         return entry
 
 
-class Rib:
-    """Per (node, prefix) anchors ordered by shortest-path distance."""
+def rebuild_tables(topology: Topology, costs: tuple[float, ...], k: int) -> tuple[RouteSet]:
+    """A fresh FIB snapshot for one cost view, as a 1-tuple ``(RouteSet,)``.
 
-    def __init__(self, topology, costs):
-        self.topology = topology
-        self.costs = costs
-        self._per_anchor: dict[int, list[float]] = {}
-
-    def _dist(self, anchor):
-        dist = self._per_anchor.get(anchor)
-        if dist is None:
-            dist = _dist_to_targets(self.topology, self.costs, (anchor,))
-            self._per_anchor[anchor] = dist
-        return dist
-
-    def anchors(self, node: int, prefix_id: int) -> tuple[tuple[int, float], ...]:
-        """(anchor, distance) pairs ascending by distance, then anchor id."""
-        ranked = sorted((self._dist(a)[node], a) for a in self.topology.prefixes[prefix_id].anchors
-                        if self._dist(a)[node] < inf)
-        return tuple((a, d) for d, a in ranked)
-
-
-def rebuild_tables(topology: Topology, costs: tuple[float, ...], k: int) -> tuple[RouteSet, Rib]:
-    """Fresh FIB/RIB snapshots for one cost view."""
+    The tuple has one element only because the benchmark tracer in
+    ``perfbench/spans.py`` reads ``result[0]``; it can return the
+    ``RouteSet`` alone once the tracer stops doing so.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
-    return RouteSet(topology, costs, k), Rib(topology, costs)
+    return (RouteSet(topology, costs, k),)

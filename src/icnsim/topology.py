@@ -73,10 +73,6 @@ class Topology:
         except KeyError:
             raise NoChannelError(f"no channel {a}->{b}") from None
 
-    def undirected_edges(self) -> list[Channel]:
-        """Forward direction (from < to) of each link, in channel-id order."""
-        return [ch for ch in self.channels if ch.from_node < ch.to_node]
-
 
 def make_topology(node_count, edges, prefixes) -> Topology:
     """Build and validate a topology from undirected (u, v, capacity) edges.
@@ -149,16 +145,6 @@ def generate_topology(node_count, edge_count, prefix_count, rng: random.Random) 
         anchors = tuple(sorted(rng.sample(range(node_count), rng.randint(1, max_anchors))))
         prefixes.append(Prefix(pid, rng.choice(DATA_OBJECT_SIZES_MB), anchors))
     return make_topology(node_count, edges, prefixes)
-
-
-def serialize_topology(topology: Topology) -> str:
-    """Plain-text listing: one line per undirected edge, then one per prefix."""
-    lines = []
-    for i, ch in enumerate(topology.undirected_edges()):
-        lines.append(f"{i},{ch.from_node},{ch.to_node},{ch.capacity_mbps:.6f}")
-    for p in topology.prefixes:
-        lines.append(f"{p.prefix_id},{p.size_mb}," + ";".join(str(a) for a in p.anchors))
-    return "\n".join(lines) + "\n"
 
 
 def _random_tree_edges(n, rng):

@@ -14,7 +14,7 @@ from icnsim import cli
 from icnsim import engine as E
 from icnsim import protocol as P
 from icnsim.config import SimulationConfig
-from icnsim.routing import k_shortest_paths
+from icnsim.routing import rebuild_tables
 from icnsim.topology import Prefix, make_topology
 
 from oracles import brute_force_k_paths, check_conservation, random_case
@@ -59,7 +59,7 @@ def test_criterion_1_k_shortest_paths_oracle_equivalence():
         src = seed % len(topology.nodes)
         targets = topology.prefixes[0].anchors
         for k in (1, 2, 3):
-            got = [(p.cost, p.nodes) for p in k_shortest_paths(topology, view, src, targets, k)]
+            got = [(p.cost, p.nodes) for p in rebuild_tables(topology, view, k)[0].paths(src, 0)]
             want = brute_force_k_paths(topology, view, src, targets, k)
             assert [n for _, n in got] == [n for _, n in want], (seed, k)
             for (gc, _), (wc, _) in zip(got, want):

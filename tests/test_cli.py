@@ -7,7 +7,6 @@ import pytest
 from icnsim import cli, metrics
 from icnsim import protocol as P
 from icnsim.config import SimulationConfig
-from icnsim.topology import serialize_topology
 
 
 def small_config(tmp_path, **overrides):
@@ -165,7 +164,7 @@ def test_mode_does_not_perturb_inputs(tmp_path):
     multi = small_config(tmp_path, mode=P.MODE_MULTI)
     topo_s, scen_s = cli.build_inputs(single)
     topo_m, scen_m = cli.build_inputs(multi)
-    assert serialize_topology(topo_s) == serialize_topology(topo_m)
+    assert topo_s == topo_m
     assert scen_s == scen_m
 
 

@@ -271,8 +271,12 @@ def test_multi_mode_single_path_degradation():
     E.InterestEvent(1.0, 0, -1),
     E.InterestEvent(float("nan"), 0, 0),
     E.InterestEvent(-1.0, 0, 0),
+    # END_OF_RUN pops first at the horizon (40 s), so these would vanish.
+    E.InterestEvent(40.0, 0, 0),
+    E.InterestEvent(41.0, 0, 0),
 ], ids=["consumer-is-anchor", "consumer-past-last-node", "negative-consumer",
-        "prefix-past-last", "negative-prefix", "nan-time", "negative-time"])
+        "prefix-past-last", "negative-prefix", "nan-time", "negative-time",
+        "time-at-horizon", "time-after-horizon"])
 def test_bad_interest_is_rejected(event):
     with pytest.raises(ValueError):
         E.run(short_config(), two_node_topology(), [event])
@@ -332,44 +336,13 @@ def test_same_instant_arrivals_at_buffer_1_channel():
     assert packets[2].terminated_s == 1.1 + hop
 
 
-def test_tracer_pins_see_every_event_and_response(monkeypatch):
-    # perfbench/spans.py counts events by wrapping EventQueue.pop on the class
-    # and data responses by wrapping protocol.make_data_response on its module.
-    # Inlining the pop, or binding the function at import time, must fail here.
-    from icnsim.cli import build_inputs
-    cfg = mesh_config(buffer_packets=2)
-    topo, scenario = build_inputs(cfg)
-    calls = Counter()
-
-    def counting(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(E.EventQueue, "pop", counting("pop", E.EventQueue.pop))
-    monkeypatch.setattr(P, "make_data_response", counting("response", P.make_data_response))
-    sim = E.Simulation(cfg, topo, scenario)
-    logs = sim.run()
-    monkeypatch.undo()
-
-    # The same run with a heap-only queue handles the same events in the same order.
-    monkeypatch.setattr(E, "EventQueue", HeapQueue)
-    reference = E.Simulation(cfg, topo, scenario)
-    assert reference.run() == logs
-    assert calls["pop"] == reference.queue.pops
-    # END_OF_RUN, path updates, interests, and a completion plus an arrival per
-    # transmission that ended before the horizon.
-    finished = sum(end < cfg.horizon_s for state in sim.channels for end in state.tx_ends)
-    assert calls["pop"] == 1 + len(logs[0].times) + len(scenario) + 2 * finished
-    data = sum(p.kind == P.DATA for p in logs[1])
-    assert data > 0 and calls["response"] == data
-
-
-def test_benchmark_tracer_installs_and_counts_lookups():
-    # perfbench/spans.py wraps icnsim callables by name and reads the first
-    # element of what rebuild_tables returns. A renamed or reshaped pin would
-    # otherwise show only as a stderr line in a traced benchmark run.
+def test_benchmark_tracer_installs_and_counts_lookups(monkeypatch):
+    # perfbench/spans.py wraps icnsim callables by name, counts events by
+    # wrapping EventQueue.pop on the class, counts data responses by wrapping
+    # protocol.make_data_response on its module, and reads the first element
+    # of what rebuild_tables returns. Inlining the pop, binding a function at
+    # import time, or renaming or reshaping a pin must fail here; a traced
+    # benchmark run would otherwise show it only as a stderr line.
     import importlib.util
     from pathlib import Path
 
@@ -378,15 +351,29 @@ def test_benchmark_tracer_installs_and_counts_lookups():
     spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    cfg = mesh_config(interests=100)
+    cfg = mesh_config(buffer_packets=2)
     topo, scenario = build_inputs(cfg)
     tracer = spans.Tracer()
     tracer.install()
     try:
         assert tracer.missing == []
-        E.run(cfg, topo, scenario)
+        sim = E.Simulation(cfg, topo, scenario)
+        logs = sim.run()
     finally:
         tracer.uninstall()
+
+    # The same run with a heap-only queue handles the same events in the same order.
+    monkeypatch.setattr(E, "EventQueue", HeapQueue)
+    reference = E.Simulation(cfg, topo, scenario)
+    assert reference.run() == logs
+    assert tracer.events == reference.queue.pops
+    # END_OF_RUN, path updates, interests, and a completion plus an arrival per
+    # transmission that ended before the horizon.
+    finished = sum(end < cfg.horizon_s for state in sim.channels for end in state.tx_ends)
+    assert tracer.events == 1 + len(logs[0].times) + len(scenario) + 2 * finished
+    data = sum(p.kind == P.DATA for p in logs[1])
+    responses = tracer.span_name.count(tracer.names.index("protocol.make_data_response"))
+    assert data > 0 and responses == data
     assert tracer.paths_calls == len(scenario)
     assert 0 < tracer.tables_built <= len(scenario)
     # Each wrapped callable a run reaches recorded spans: the engine still

@@ -56,7 +56,7 @@ def test_packet_fields():
         assert p.size_bits == P.INTEREST_SIZE_BITS
         assert p.created_s == 2.5
         assert p.hop_index == 0
-        assert p.terminated_s is None and p.outcome is None
+        assert p.terminated_s is None and p.outcome == P.UNTERMINATED
 
 
 def test_chunk_sizes_cover_object():

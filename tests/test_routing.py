@@ -1,5 +1,4 @@
 import random
-from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +16,11 @@ EPS = SimulationConfig().epsilon_mbps
 
 def unit_costs(topology):
     return tuple(1.0 for _ in topology.channels)
+
+
+def table_paths(topology, costs, src, k):
+    """The engine's table entry for (src, prefix 0)."""
+    return R.rebuild_tables(topology, costs, k)[0].paths(src, 0)
 
 
 def triangle():
@@ -101,40 +105,32 @@ def test_cost_view_from_idle_base_equals_full_view(case):
     assert view == full
 
 
-# -- k_shortest_paths --------------------------------------------------
+# -- RouteSet.paths ---------------------------------------------------
 
 def test_triangle_paths():
     topo = triangle()
-    paths = R.k_shortest_paths(topo, unit_costs(topo), 0, {2}, 3)
+    paths = table_paths(topo, unit_costs(topo), 0, 3)
     assert [p.nodes for p in paths] == [(0, 2), (0, 1, 2)]
     assert [p.cost for p in paths] == [1.0, 2.0]
-
-
-def test_k_must_be_positive():
-    topo = triangle()
-    with pytest.raises(ValueError):
-        R.k_shortest_paths(topo, unit_costs(topo), 0, {2}, 0)
-    with pytest.raises(ValueError):
-        R.k_shortest_paths(topo, unit_costs(topo), 0, set(), 1)
 
 
 def test_disconnected_source_yields_nothing():
     channels = (T.Channel(0, 0, 1, 600.0), T.Channel(1, 1, 0, 600.0),
                 T.Channel(2, 2, 3, 600.0), T.Channel(3, 3, 2, 600.0))
     islands = T.Topology((0, 1, 2, 3), channels, (T.Prefix(0, 8, (3,)),))
-    assert R.k_shortest_paths(islands, unit_costs(islands), 0, {3}, 3) == []
+    assert table_paths(islands, unit_costs(islands), 0, 3) == ()
 
 
 def test_source_is_anchor():
     topo = triangle()
-    paths = R.k_shortest_paths(topo, unit_costs(topo), 2, {2}, 2)
+    paths = table_paths(topo, unit_costs(topo), 2, 2)
     assert paths[0].nodes == (2,)
     assert paths[0].cost == 0.0
 
 
 def test_multi_anchor_paths_may_pass_through_an_anchor():
     line = T.make_topology(3, [(0, 1, 600.0), (1, 2, 600.0)], [T.Prefix(0, 8, (1, 2))])
-    paths = R.k_shortest_paths(line, unit_costs(line), 0, {1, 2}, 3)
+    paths = table_paths(line, unit_costs(line), 0, 3)
     assert [p.nodes for p in paths] == [(0, 1), (0, 1, 2)]
 
 
@@ -144,7 +140,7 @@ def test_matches_brute_force(seed, k):
     topology, view = random_case(seed)
     src = seed % len(topology.nodes)
     targets = topology.prefixes[0].anchors
-    got = [(p.cost, p.nodes) for p in R.k_shortest_paths(topology, view, src, targets, k)]
+    got = [(p.cost, p.nodes) for p in table_paths(topology, view, src, k)]
     want = brute_force_k_paths(topology, view, src, targets, k)
     assert [n for _, n in got] == [n for _, n in want]
     for (gc, _), (wc, _) in zip(got, want):
@@ -182,7 +178,7 @@ def test_matches_brute_force_with_ties(case):
     # still rank ahead by node sequence, so it must not be cut.
     topology, view, src, k = case
     targets = topology.prefixes[0].anchors
-    got = [(p.cost, p.nodes) for p in R.k_shortest_paths(topology, view, src, targets, k)]
+    got = [(p.cost, p.nodes) for p in table_paths(topology, view, src, k)]
     want = brute_force_k_paths(topology, view, src, targets, k)
     assert [n for _, n in got] == [n for _, n in want]
     for (gc, _), (wc, _) in zip(got, want):
@@ -195,7 +191,7 @@ def test_k1_is_dijkstra(seed):
     topology, view = random_case(seed)
     src = seed % len(topology.nodes)
     targets = topology.prefixes[0].anchors
-    got = R.k_shortest_paths(topology, view, src, targets, 1)
+    got = table_paths(topology, view, src, 1)
     ref = reference_dijkstra(topology, view, src, targets)
     if not got:
         assert ref is None
@@ -210,9 +206,8 @@ def test_scaling_costs_preserves_routes(seed, scale):
     topology, view = random_case(seed)
     scaled = tuple(c * scale for c in view)
     src = seed % len(topology.nodes)
-    targets = topology.prefixes[0].anchors
-    base = [p.nodes for p in R.k_shortest_paths(topology, view, src, targets, 3)]
-    after = [p.nodes for p in R.k_shortest_paths(topology, scaled, src, targets, 3)]
+    base = [p.nodes for p in table_paths(topology, view, src, 3)]
+    after = [p.nodes for p in table_paths(topology, scaled, src, 3)]
     assert base == after
 
 
@@ -220,9 +215,10 @@ def test_paths_are_loopless_and_anchor_terminated():
     rng = random.Random(5)
     topo = T.generate_topology(10, 30, 15, rng)
     view = random_cost_view(topo, rng)
+    (fib,) = R.rebuild_tables(topo, view, 3)
     for prefix in topo.prefixes:
         for node in topo.nodes:
-            paths = R.k_shortest_paths(topo, view, node, prefix.anchors, 3)
+            paths = fib.paths(node, prefix.prefix_id)
             costs = [p.cost for p in paths]
             assert costs == sorted(costs)
             for p in paths:
@@ -235,38 +231,23 @@ def test_paths_are_loopless_and_anchor_terminated():
 
 def test_self_anchor_entry():
     topo = triangle()
-    fib, rib = R.rebuild_tables(topo, unit_costs(topo), 3)
+    (fib,) = R.rebuild_tables(topo, unit_costs(topo), 3)
     paths = fib.paths(2, 0)
     assert paths[0].nodes == (2,)
     assert paths[0].cost == 0.0
-    assert rib.anchors(2, 0)[0] == (2, 0.0)
 
 
 def test_k1_fib_ends_at_nearest_anchor():
     rng = random.Random(11)
     topo = T.generate_topology(10, 30, 15, rng)
     view = random_cost_view(topo, rng)
-    fib, rib = R.rebuild_tables(topo, view, 1)
+    (fib,) = R.rebuild_tables(topo, view, 1)
     for prefix in topo.prefixes:
         for node in topo.nodes:
             best = fib.paths(node, prefix.prefix_id)[0]
-            nearest, dist = rib.anchors(node, prefix.prefix_id)[0]
-            assert best.nodes[-1] == nearest
+            dist, path = reference_dijkstra(topo, view, node, prefix.anchors)
+            assert best.nodes[-1] == path[-1]
             assert best.cost == pytest.approx(dist, rel=1e-12)
-
-
-def test_rib_sorted_by_distance():
-    rng = random.Random(13)
-    topo = T.generate_topology(10, 30, 15, rng)
-    view = random_cost_view(topo, rng)
-    _, rib = R.rebuild_tables(topo, view, 3)
-    for prefix in topo.prefixes:
-        for node in topo.nodes:
-            entries = rib.anchors(node, prefix.prefix_id)
-            assert set(a for a, _ in entries) == set(prefix.anchors)
-            dists = [d for _, d in entries]
-            assert dists == sorted(dists)
-            assert all(d < inf for d in dists)
 
 
 def test_fib_against_oracle_at_full_scale():
@@ -275,7 +256,7 @@ def test_fib_against_oracle_at_full_scale():
     rng = random.Random(17)
     topo = T.generate_topology(10, 30, 15, rng)
     view = random_cost_view(topo, rng)
-    fib, _ = R.rebuild_tables(topo, view, 3)
+    (fib,) = R.rebuild_tables(topo, view, 3)
     all_targets = frozenset(range(len(topo.nodes)))
     for node in topo.nodes:
         by_endpoint = enumerate_anchor_paths(topo, view, node, all_targets)
