@@ -336,13 +336,13 @@ def test_same_instant_arrivals_at_buffer_1_channel():
     assert packets[2].terminated_s == 1.1 + hop
 
 
-def test_benchmark_tracer_installs_and_counts_lookups(monkeypatch):
+@pytest.fixture(scope="module")
+def traced_mesh():
     # perfbench/spans.py wraps icnsim callables by name, counts events by
     # wrapping EventQueue.pop on the class, counts data responses by wrapping
     # protocol.make_data_response on its module, and reads the first element
-    # of what rebuild_tables returns. Inlining the pop, binding a function at
-    # import time, or renaming or reshaping a pin must fail here; a traced
-    # benchmark run would otherwise show it only as a stderr line.
+    # of what rebuild_tables returns. One buffer-2 mesh run under the real
+    # Tracer backs both tests below.
     import importlib.util
     from pathlib import Path
 
@@ -356,12 +356,19 @@ def test_benchmark_tracer_installs_and_counts_lookups(monkeypatch):
     tracer = spans.Tracer()
     tracer.install()
     try:
-        assert tracer.missing == []
+        missing = list(tracer.missing)
         sim = E.Simulation(cfg, topo, scenario)
         logs = sim.run()
     finally:
         tracer.uninstall()
+    return cfg, topo, scenario, sim, logs, tracer, missing
 
+
+def test_tracer_pins_see_every_event_and_response(traced_mesh, monkeypatch):
+    # Inlining the pop, or binding make_data_response at import time, must
+    # fail here; a traced benchmark run would otherwise show it only as
+    # wrong counts.
+    cfg, topo, scenario, sim, logs, tracer, _ = traced_mesh
     # The same run with a heap-only queue handles the same events in the same order.
     monkeypatch.setattr(E, "EventQueue", HeapQueue)
     reference = E.Simulation(cfg, topo, scenario)
@@ -374,6 +381,13 @@ def test_benchmark_tracer_installs_and_counts_lookups(monkeypatch):
     data = sum(p.kind == P.DATA for p in logs[1])
     responses = tracer.span_name.count(tracer.names.index("protocol.make_data_response"))
     assert data > 0 and responses == data
+
+
+def test_benchmark_tracer_installs_and_counts_lookups(traced_mesh):
+    # A renamed or reshaped pin must fail here; a traced benchmark run would
+    # otherwise show it only as a stderr line.
+    _, _, scenario, _, _, tracer, missing = traced_mesh
+    assert missing == []
     assert tracer.paths_calls == len(scenario)
     assert 0 < tracer.tables_built <= len(scenario)
     # Each wrapped callable a run reaches recorded spans: the engine still
