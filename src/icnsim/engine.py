@@ -8,13 +8,16 @@ on the wire. Every run setting, buffer size and cost clamp included, comes
 from the ``SimulationConfig``; the topology holds only the graph.
 
 Periodic path-update events measure per-channel load over a sliding window,
-log them, and retire the routing tables. Only channels that transmitted
-inside the window are measured; every other channel logs exactly 0.0, which
-is what its busy time over the window would give. Fresh tables are built at
-the first lookup after an update, from the loads logged at that update: the
-cost view, a tuple of costs indexed by channel id, starts from every
-channel's idle cost, computed once per run, and overwrites only the measured
-channels. An update with no interest before the next one builds nothing.
+log them, and retire the routing tables. Only channels that transmitted inside
+the window are measured; every other channel logs exactly 0.0, which is what
+its busy time over the window would give. A channel keeps only the
+transmissions that end after the latest window's start, which never moves
+back; the oldest kept one stores the busy total before it, so loads equal a
+whole-run history's to the bit. Fresh tables are built at the first lookup
+after an update, from the loads logged at that update: the cost view, a tuple
+of costs indexed by channel id, starts from every channel's idle cost,
+computed once per run, and overwrites only the measured channels. An update
+with no interest before the next one builds nothing.
 
 Events are plain ``(time, seq, kind, payload)`` tuples handled in (time, seq)
 order, where ``seq`` is the scheduling order. With no propagation delay every
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import bisect_right
 from collections import deque
 from typing import NamedTuple
 
@@ -103,36 +105,29 @@ class EventQueue:
 class ChannelState:
     """Runtime state of one channel direction.
 
-    The queue head is the packet currently on the wire. Transmission intervals
-    are kept as parallel (start, end, cumulative-busy) arrays so the busy time
-    inside any window comes from two binary searches; this keeps measured load
-    exact and bounded by capacity.
+    The queue head is the packet on the wire. ``sent`` holds ``(start, end,
+    busy seconds before start)`` per transmission that a later load window
+    can still read, oldest first; path updates prune it from the left.
     """
 
-    __slots__ = ("channel", "queue", "tx_starts", "tx_ends", "tx_cum", "_total_busy")
+    __slots__ = ("channel", "queue", "sent", "_total_busy")
 
     def __init__(self, channel):
         self.channel = channel
         self.queue: deque[protocol.Packet] = deque()
-        self.tx_starts: list[float] = []
-        self.tx_ends: list[float] = []
-        self.tx_cum: list[float] = []
+        self.sent: deque[tuple[float, float, float]] = deque()
         self._total_busy = 0.0
 
     def record_transmission(self, start, end):
-        self.tx_cum.append(self._total_busy)
-        self.tx_starts.append(start)
-        self.tx_ends.append(end)
+        self.sent.append((start, end, self._total_busy))
         self._total_busy += end - start
 
     def busy_seconds(self, lo, hi):
-        return self._cum_at(hi) - self._cum_at(lo)
-
-    def _cum_at(self, t):
-        i = bisect_right(self.tx_starts, t) - 1
-        if i < 0:
-            return 0.0
-        return self.tx_cum[i] + max(0.0, min(t, self.tx_ends[i]) - self.tx_starts[i])
+        """Busy seconds in [lo, hi], given sent[0] ends after lo and sent[-1] starts by hi."""
+        start, end, before = self.sent[-1]
+        busy_to_hi = before + max(0.0, min(hi, end) - start)
+        start, end, before = self.sent[0]
+        return busy_to_hi - (before + max(0.0, min(lo, end) - start))
 
 
 class Simulation:
@@ -196,7 +191,10 @@ class Simulation:
         measured = []
         active = self._active
         for channel_id, state in list(active.items()):
-            if state.tx_ends[-1] <= lo:
+            sent = state.sent
+            while sent and sent[0][1] <= lo:
+                sent.popleft()
+            if not sent:
                 # Idle for the whole window: its busy time there is exactly 0.0.
                 del active[channel_id]
             else:

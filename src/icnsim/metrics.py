@@ -147,7 +147,7 @@ def _row_sums(rows) -> tuple[list[float], list[float]]:
     return sums, squares
 
 
-def summarize(load_log: LoadLog, packet_log, warmup_end: float = 50.0, cooldown_start: float = 950.0, *,
+def summarize(load_log: LoadLog, packet_log, warmup_end: float, cooldown_start: float, *,
               run_id: str = "", mode: str = "", interest_count: int = 0, seed: int = 0) -> RunSummary:
     """Run statistics.
 

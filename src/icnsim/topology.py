@@ -6,6 +6,8 @@ import heapq
 import random
 from dataclasses import dataclass, field
 
+from .protocol import CHUNK_SIZE_MB
+
 CAPACITY_MIN_MBPS = 512.0
 CAPACITY_MAX_MBPS = 2048.0
 DATA_OBJECT_SIZES_MB = (8, 16, 24, 32, 40, 48, 56, 64)
@@ -108,7 +110,9 @@ def make_topology(node_count, edges, prefixes) -> Topology:
             raise ValueError(f"prefix {p.prefix_id} has no anchors")
         if any(not 0 <= a < node_count for a in p.anchors):
             raise ValueError(f"prefix {p.prefix_id} anchored outside node range")
-        if p.size_mb <= 0 or p.size_mb % DATA_OBJECT_SIZES_MB[0]:
+        if len(set(p.anchors)) == node_count:
+            raise ValueError(f"prefix {p.prefix_id} is anchored at every node; no consumer could request it")
+        if p.size_mb <= 0 or p.size_mb % CHUNK_SIZE_MB:
             raise ValueError(f"prefix {p.prefix_id} size {p.size_mb} MB is not a positive chunk multiple")
     return Topology(tuple(range(node_count)), tuple(channels), tuple(prefixes))
 
@@ -172,8 +176,6 @@ def _random_tree_edges(n, rng):
 
 
 def _connected(n, pairs):
-    if n == 0:
-        return True
     neighbors: list[list[int]] = [[] for _ in range(n)]
     for a, b in pairs:
         neighbors[a].append(b)

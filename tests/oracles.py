@@ -2,15 +2,18 @@
 
 Nothing here may call into the code paths it verifies: paths come from
 exhaustive DFS enumeration, shortest paths from a textbook predecessor-array
-Dijkstra, event order from a plain heap, and the conservation audit works
-purely on packet records.
+Dijkstra, event order from a plain heap, window busy time from a channel's
+whole transmission history, and the conservation audit works purely on packet
+records.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 from math import inf
 
 from icnsim import topology as topo_mod
@@ -115,6 +118,27 @@ class HeapQueue:
         self.clock = event[0]
         self.pops += 1
         return event
+
+
+def history_busy_seconds(intervals):
+    """``busy(lo, hi)``: busy seconds in [lo, hi] of one channel's transmissions.
+
+    ``intervals`` is the channel's whole history of back-to-back
+    ``(start, end)`` transmissions in order. The busy time before each start
+    is a running total, a left fold in transmission order, and each bound is
+    found by bisecting the starts.
+    """
+    starts = [start for start, _ in intervals]
+    before = list(accumulate((end - start for start, end in intervals), initial=0.0))
+
+    def busy_until(t):
+        i = bisect_right(starts, t) - 1
+        if i < 0:
+            return 0.0
+        start, end = intervals[i]
+        return before[i] + max(0.0, min(t, end) - start)
+
+    return lambda lo, hi: busy_until(hi) - busy_until(lo)
 
 
 def check_conservation(records):

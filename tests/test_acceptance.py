@@ -132,7 +132,8 @@ def test_criterion_6_physical_bounds(counted_runs):
         sim = E.Simulation(SimulationConfig(nodes=2, edges=1, prefixes=1), topo, [])
         packet = P.Packet(0, P.DATA, 0, 0, size_bits, (0, 1), hop_index=0)
         sim._forward(packet, 0.0)
-        assert sim.channels[0].tx_ends[0] == expected
+        _, end, _ = sim.channels[0].sent[0]
+        assert end == expected
     _report(6, True,
             "every load sample within channel capacity; 8MB@2048Mbps=0.03125s and "
             "0.1MB@512Mbps=0.0015625s exact")
@@ -149,16 +150,16 @@ def test_criterion_7_warmup_cooldown_exclusion():
         return LoadLog(times, rows)
 
     base = LoadLog([100.0, 500.0, 900.0], [[10.0, 20.0] for _ in range(3)])
-    reference = summarize(base, [])
+    reference = summarize(base, [], 50.0, 950.0)
 
     excluded = with_edges(49.9, 950.0)
-    unchanged = summarize(excluded, [])
+    unchanged = summarize(excluded, [], 50.0, 950.0)
     same = (unchanged.offered_load_mbps == reference.offered_load_mbps
             and unchanged.avg_load_mbps == reference.avg_load_mbps
             and unchanged.std_load_mbps == reference.std_load_mbps)
 
     included = with_edges(50.0, 949.9)
-    changed = summarize(included, [])
+    changed = summarize(included, [], 50.0, 950.0)
     differs = (changed.offered_load_mbps != reference.offered_load_mbps
                and changed.avg_load_mbps != reference.avg_load_mbps
                and changed.std_load_mbps != reference.std_load_mbps)

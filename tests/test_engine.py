@@ -1,7 +1,7 @@
 import gc
 import itertools
 import weakref
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,11 +12,35 @@ from icnsim import protocol as P
 from icnsim.config import SimulationConfig
 from icnsim.topology import Channel, Prefix, Topology, make_topology
 
-from oracles import HeapQueue, check_conservation
+from oracles import HeapQueue, check_conservation, history_busy_seconds
 
 
 def two_node_topology(capacity=1024.0, size_mb=16):
     return make_topology(2, [(0, 1, capacity)], [Prefix(0, size_mb, (1,))])
+
+
+def record_transmissions(monkeypatch):
+    """Every transmission the engine records, as (start, end) pairs by channel id.
+
+    The engine keeps only what a later load window can read; this keeps all.
+    """
+    history = defaultdict(list)
+    original = E.ChannelState.record_transmission
+
+    def recording(state, start, end):
+        history[state.channel.channel_id].append((start, end))
+        original(state, start, end)
+
+    monkeypatch.setattr(E.ChannelState, "record_transmission", recording)
+    return history
+
+
+def full_history_loads(cfg, topo, history, times):
+    """Every channel's load at each of ``times``, measured on its whole history."""
+    window = cfg.load_window_s
+    busy = [history_busy_seconds(history[ch.channel_id]) for ch in topo.channels]
+    return [[min(ch.capacity_mbps, ch.capacity_mbps * busy_seconds(t - window, t) / window)
+             for ch, busy_seconds in zip(topo.channels, busy)] for t in times]
 
 
 def short_config(**overrides):
@@ -123,7 +147,8 @@ def test_data_serialization_delay_at_2048():
     state = sim.channels[0]
     packet = P.Packet(0, P.DATA, 0, 0, P.DATA_SIZE_BITS, (0, 1), hop_index=0)
     sim._forward(packet, 0.0)
-    assert state.tx_ends[0] - state.tx_starts[0] == 0.03125
+    start, end, _ = state.sent[0]
+    assert end - start == 0.03125
 
 
 def test_interest_serialization_delay_at_512():
@@ -131,15 +156,16 @@ def test_interest_serialization_delay_at_512():
     state = sim.channels[0]
     packet = P.Packet(0, P.INTEREST, 0, 0, P.INTEREST_SIZE_BITS, (0, 1), hop_index=0)
     sim._forward(packet, 0.0)
-    assert state.tx_ends[0] - state.tx_starts[0] == 0.0015625
+    start, end, _ = state.sent[0]
+    assert end - start == 0.0015625
 
 
-def test_back_to_back_completions_are_evenly_spaced():
+def test_back_to_back_completions_are_evenly_spaced(monkeypatch):
     # 24 MB object -> 3 interest chunks serialized back to back at 512 Mbps.
     topo = two_node_topology(capacity=512.0, size_mb=24)
-    sim = E.Simulation(short_config(), topo, [E.InterestEvent(1.0, 0, 0)])
-    sim.run()
-    ends = sim.channels[0].tx_ends
+    history = record_transmissions(monkeypatch)
+    E.run(short_config(), topo, [E.InterestEvent(1.0, 0, 0)])
+    ends = [end for _, end in history[topo.channel(0, 1).channel_id]]
     assert len(ends) == 3
     gaps = [b - a for a, b in zip(ends, ends[1:])]
     assert gaps == pytest.approx([0.0015625, 0.0015625], abs=1e-12)
@@ -354,21 +380,22 @@ def traced_mesh():
     cfg = mesh_config(buffer_packets=2)
     topo, scenario = build_inputs(cfg)
     tracer = spans.Tracer()
-    tracer.install()
-    try:
-        missing = list(tracer.missing)
-        sim = E.Simulation(cfg, topo, scenario)
-        logs = sim.run()
-    finally:
-        tracer.uninstall()
-    return cfg, topo, scenario, sim, logs, tracer, missing
+    with pytest.MonkeyPatch.context() as mp:
+        history = record_transmissions(mp)
+        tracer.install()
+        try:
+            missing = list(tracer.missing)
+            logs = E.Simulation(cfg, topo, scenario).run()
+        finally:
+            tracer.uninstall()
+    return cfg, topo, scenario, history, logs, tracer, missing
 
 
 def test_tracer_pins_see_every_event_and_response(traced_mesh, monkeypatch):
     # Inlining the pop, or binding make_data_response at import time, must
     # fail here; a traced benchmark run would otherwise show it only as
     # wrong counts.
-    cfg, topo, scenario, sim, logs, tracer, _ = traced_mesh
+    cfg, topo, scenario, history, logs, tracer, _ = traced_mesh
     # The same run with a heap-only queue handles the same events in the same order.
     monkeypatch.setattr(E, "EventQueue", HeapQueue)
     reference = E.Simulation(cfg, topo, scenario)
@@ -376,7 +403,7 @@ def test_tracer_pins_see_every_event_and_response(traced_mesh, monkeypatch):
     assert tracer.events == reference.queue.pops
     # END_OF_RUN, path updates, interests, and a completion plus an arrival per
     # transmission that ended before the horizon.
-    finished = sum(end < cfg.horizon_s for state in sim.channels for end in state.tx_ends)
+    finished = sum(end < cfg.horizon_s for sent in history.values() for _, end in sent)
     assert tracer.events == 1 + len(logs[0].times) + len(scenario) + 2 * finished
     data = sum(p.kind == P.DATA for p in logs[1])
     responses = tracer.span_name.count(tracer.names.index("protocol.make_data_response"))
@@ -426,28 +453,34 @@ def test_identical_runs_are_identical():
     assert records_a == records_b
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(buffer_packets=1),
-    dict(propagation_delay_s=0.01),
-    dict(horizon_s=20.0, interest_window_s=20.0, cooldown_start_s=20.0),
-    dict(interests=0),
-], ids=["buffer-1", "propagation-delay", "horizon-cuts-transfers", "no-interests"])
-def test_logged_loads_equal_full_window_measurement(overrides):
+@pytest.mark.parametrize("overrides, kept_at_end", [
+    (dict(buffer_packets=1), False),
+    (dict(propagation_delay_s=0.01), False),
+    (dict(horizon_s=20.0, interest_window_s=20.0, cooldown_start_s=20.0), True),
+    (dict(interests=0), False),
+    (dict(load_window_s=0.05), False),
+    (dict(load_window_s=3.0, path_updates_per_s=3.0), False),
+], ids=["buffer-1", "propagation-delay", "horizon-cuts-transfers", "no-interests",
+        "window-shorter-than-update-period", "window-spans-9-inexact-updates"])
+def test_logged_loads_equal_full_window_measurement(overrides, kept_at_end, monkeypatch):
     # Path updates measure only channels that transmitted in the window. The
     # full transmission history gives every channel's load at every update;
     # the logged rows must equal it exactly, idle channels included.
     from icnsim.cli import build_inputs
     cfg = mesh_config(**overrides)
     topo, scenario = build_inputs(cfg)
+    history = record_transmissions(monkeypatch)
     sim = E.Simulation(cfg, topo, scenario)
     load_log, _ = sim.run()
-    window = cfg.load_window_s
-    expected = [[min(state.channel.capacity_mbps,
-                     state.channel.capacity_mbps * state.busy_seconds(t - window, t) / window)
-                 for state in sim.channels] for t in load_log.times]
-    assert load_log.rows == expected
+    assert load_log.rows == full_history_loads(cfg, topo, history, load_log.times)
     assert len(load_log) == len(load_log.times) * len(topo.channels)
     assert len(load_log.times) == int(cfg.horizon_s * cfg.path_updates_per_s)
+    # Each channel keeps exactly the transmissions that end after the last
+    # update's window start, so a transfer cut by the horizon is still held.
+    lo = load_log.times[-1] - cfg.load_window_s
+    kept = [[(start, end) for start, end, _ in state.sent] for state in sim.channels]
+    assert kept == [[tx for tx in history[ch.channel_id] if tx[1] > lo] for ch in topo.channels]
+    assert any(kept) == kept_at_end
 
 
 def test_tables_built_at_first_lookup_from_update_loads(monkeypatch):
@@ -514,6 +547,8 @@ def engine_configs(draw):
         prefixes=draw(st.integers(1, 4)), interests=draw(st.integers(0, 200)),
         mode=draw(st.sampled_from([P.MODE_SINGLE, P.MODE_MULTI])), k=draw(st.integers(1, 5)),
         buffer_packets=draw(st.integers(1, 4)),
+        load_window_s=draw(st.sampled_from([0.05, 0.2, 1.0, 2.5])),
+        path_updates_per_s=draw(st.sampled_from([1.0, 3.0, 5.0, 7.0])),
         propagation_delay_s=draw(st.sampled_from([0.0, 0.001, 0.05, 0.5])),
         # Interests may arrive up to the horizon, so transfers can be cut.
         horizon_s=horizon, interest_window_s=draw(st.floats(0.0, 1.0)) * horizon,
@@ -530,7 +565,10 @@ def engine_configs(draw):
 def test_engine_invariants_on_random_configs(cfg):
     from icnsim.cli import build_inputs
     topo, scenario = build_inputs(cfg)
-    load_log, packets = E.run(cfg, topo, scenario)
+    with pytest.MonkeyPatch.context() as mp:
+        history = record_transmissions(mp)
+        load_log, packets = E.run(cfg, topo, scenario)
+    assert load_log.rows == full_history_loads(cfg, topo, history, load_log.times)
     check_conservation(packets)
     capacity = [ch.capacity_mbps for ch in topo.channels]
     assert all(0.0 <= s.load_mbps <= capacity[s.channel_id] for s in load_log)

@@ -96,21 +96,21 @@ def test_histogram_counts_sum(times, width):
 def test_warmup_and_cooldown_boundaries():
     # One channel: inside the window 10 and 20 Mbps, outside it 400 Mbps.
     log = M.LoadLog([49.9, 50.0, 949.9, 950.0], [[400.0], [10.0], [20.0], [400.0]])
-    summary = M.summarize(log, [])
+    summary = M.summarize(log, [], 50.0, 950.0)
     assert summary.avg_load_mbps == 15.0
     assert summary.offered_load_mbps == 15.0
-    with_outside_only = M.summarize(M.LoadLog([49.9, 950.0], [[400.0], [400.0]]), [])
+    with_outside_only = M.summarize(M.LoadLog([49.9, 950.0], [[400.0], [400.0]]), [], 50.0, 950.0)
     assert with_outside_only.avg_load_mbps == 0.0
 
 
 def test_equal_loads_have_zero_std():
     log = M.LoadLog([100.0], [[42.0] * 4])
-    assert M.summarize(log, []).std_load_mbps == 0.0
+    assert M.summarize(log, [], 50.0, 950.0).std_load_mbps == 0.0
 
 
 def test_across_channel_population_std():
     log = M.LoadLog([100.0, 200.0], [[10.0, 20.0], [30.0, 30.0]])
-    summary = M.summarize(log, [])
+    summary = M.summarize(log, [], 50.0, 950.0)
     assert summary.std_load_mbps == pytest.approx((5.0 + 0.0) / 2)
     assert summary.offered_load_mbps == pytest.approx((30.0 + 60.0) / 2)
     assert summary.avg_load_mbps == pytest.approx(22.5)
@@ -122,7 +122,7 @@ def test_load_statistics_match_per_time_definition(rows):
     # Reference: per sample time, the channel sum and the population std
     # across channels, each averaged over times.
     log = M.LoadLog([60.0 + i / 5 for i in range(len(rows))], rows)
-    summary = M.summarize(log, [])
+    summary = M.summarize(log, [], 50.0, 950.0)
     sums = [math.fsum(row) for row in rows]
     stds = [math.sqrt(math.fsum((x - s / len(row)) ** 2 for x in row) / len(row))
             for row, s in zip(rows, sums)]
@@ -135,7 +135,7 @@ def test_delivery_mean_over_data_packets():
     log = [record(0, created=1.0, terminated=3.0),
            record(1, created=1.0, terminated=5.0),
            record(2, kind=P.INTEREST, created=1.0, terminated=1.1)]
-    summary = M.summarize(M.LoadLog(), log)
+    summary = M.summarize(M.LoadLog(), log, 50.0, 950.0)
     assert summary.avg_delivery_s == pytest.approx(3.0)
     assert summary.delivered_count == 3
 
@@ -144,12 +144,12 @@ def test_delivery_mean_is_a_left_fold():
     # Ten delays of 0.1 summed one after another give 0.9999999999999999; a
     # compensated sum (Python >= 3.12 sum()) would give 1.0 and a mean of 0.1.
     log = [record(i, created=0.0, terminated=0.1) for i in range(10)]
-    assert M.summarize(M.LoadLog(), log).avg_delivery_s == 0.09999999999999999
+    assert M.summarize(M.LoadLog(), log, 50.0, 950.0).avg_delivery_s == 0.09999999999999999
 
 
 def test_no_delivered_data_means_absent_average():
     log = [record(0, outcome=P.DROPPED), record(1, outcome=P.UNTERMINATED, terminated=None)]
-    summary = M.summarize(M.LoadLog(), log)
+    summary = M.summarize(M.LoadLog(), log, 50.0, 950.0)
     assert summary.avg_delivery_s is None
     assert summary.dropped_count == 1
     assert summary.unterminated_count == 1
@@ -159,7 +159,7 @@ def test_no_delivered_data_means_absent_average():
 def test_outcome_counts_reconcile(outcomes):
     log = [record(i, outcome=o, terminated=None if o == P.UNTERMINATED else 1.0)
            for i, o in enumerate(outcomes)]
-    summary = M.summarize(M.LoadLog(), log)
+    summary = M.summarize(M.LoadLog(), log, 50.0, 950.0)
     assert (summary.delivered_count + summary.dropped_count + summary.unterminated_count
             == len(outcomes))
 

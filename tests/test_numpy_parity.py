@@ -53,7 +53,7 @@ def numpy_smooth(series, window):
 
 
 def summary_statistics(rows):
-    s = M.summarize(M.LoadLog([100.0] * len(rows), rows), [])
+    s = M.summarize(M.LoadLog([100.0] * len(rows), rows), [], 50.0, 950.0)
     return s.offered_load_mbps, s.avg_load_mbps, s.std_load_mbps
 
 

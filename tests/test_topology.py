@@ -122,3 +122,7 @@ def test_make_topology_rejects_bad_input():
         T.make_topology(2, [(0, 1, 600.0)], [T.Prefix(0, 12, (0,))])
     with pytest.raises(ValueError):
         T.make_topology(2, [(0, 1, 600.0)], [T.Prefix(3, 16, (1,))])
+    # Anchored at every node: no consumer could request it, and the scenario
+    # generator would draw consumers forever.
+    with pytest.raises(ValueError, match="no consumer"):
+        T.make_topology(2, [(0, 1, 600.0)], [T.Prefix(0, 8, (0, 1))])
