@@ -118,12 +118,13 @@ def generate_scenario(config, topology, rng: random.Random) -> list[InterestEven
 
 
 def build_inputs(config):
-    """Topology and interest schedule for a seed.
+    """Topology and interest schedule for a seed, once ``config.validate()`` passes.
 
     Structure and scenario come from separate seed-derived streams and the
     engine consumes no randomness, so toggling the routing mode can never
     perturb what is being simulated.
     """
+    config.validate()
     rng_topology = random.Random(f"{config.seed}/topology")
     rng_scenario = random.Random(f"{config.seed}/scenario")
     topology = topo.generate_topology(config.nodes, config.edges, config.prefixes, rng_topology)

@@ -134,7 +134,7 @@ class Simulation:
     """One run over a fixed topology and interest schedule."""
 
     def __init__(self, config, topology, interests):
-        config.validate()
+        config.validate_run()
         self.config = config
         self.topology = topology
         self.queue = EventQueue()
@@ -285,11 +285,12 @@ class Simulation:
 def run(config, topology, interests):
     """Run one simulation; returns (load_log, packets), packets in packet-id order.
 
-    Raises ValueError if an interest's time is NaN or outside
-    [0, ``config.horizon_s``), if it names an unknown prefix, or if it names a
-    consumer that is not a node or anchors the prefix. Raises
-    ``protocol.RouteUnavailableError``, a ValueError, when an interest's consumer
-    can reach no anchor of its prefix; only a hand-built disconnected
-    ``Topology`` allows that, since ``make_topology`` rejects one.
+    Of ``config`` it reads and checks only the run settings (``validate_run``);
+    the topology and interests stand in for its scenario settings. Raises
+    ValueError for a bad run setting, or for an interest whose time is NaN or
+    outside [0, ``config.horizon_s``), whose prefix is unknown, or whose
+    consumer is not a node or anchors the prefix. Raises
+    ``protocol.RouteUnavailableError``, a ValueError, when a consumer can reach
+    no anchor of its prefix: only a hand-built disconnected ``Topology`` can.
     """
     return Simulation(config, topology, interests).run()

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, chain
+from itertools import chain
 from math import sqrt
 from operator import add, mul
 from pathlib import Path
@@ -69,24 +69,6 @@ BATCH_HEADER = "run_id,seed,mode,avg_delivery_s,std_load_mbps,offered_load_mbps,
 
 def _opt(value) -> str:
     return "" if value is None else f"{value:.6f}"
-
-
-def smooth(series, window: int) -> list[float]:
-    """Trailing moving average: output[i] is the mean of the last `window` points.
-
-    ``window`` must be a whole number of at least 1; a fractional window
-    raises ValueError. Points are summed as one running total from the start,
-    and each mean is a difference of two running totals.
-    """
-    try:
-        w = int(window)
-    except (TypeError, ValueError, OverflowError):
-        w = None
-    if w is None or w != window or w < 1:
-        raise ValueError(f"window must be a whole number of at least 1, got {window!r}")
-    csum = list(accumulate(map(float, series)))
-    head = [c / i for i, c in enumerate(csum[:w], 1)]
-    return head + [(c - before) / w for c, before in zip(csum[w:], csum)]
 
 
 def histogram(delivery_times, bin_width: float) -> list[tuple[float, int]]:

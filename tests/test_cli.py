@@ -238,6 +238,18 @@ def test_run_batch_validates_runs(tmp_path):
         cli.run_batch(small_config(tmp_path), 0)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (dict(interests=-1), "interests must be non-negative, got -1"),
+    (dict(warmup_s=40.0), "need 0 <= warmup_s < cooldown_start_s <= horizon_s"),
+], ids=["scenario", "output"])
+@pytest.mark.parametrize("run", [cli.build_inputs, cli.run_single, lambda cfg: cli.run_batch(cfg, 1)],
+                         ids=["inputs", "single", "batch"])
+def test_runs_validate_settings_the_engine_does_not_read(tmp_path, run, overrides, message):
+    with pytest.raises(ValueError, match=message):
+        run(small_config(tmp_path, **overrides))
+    assert not any(tmp_path.iterdir())
+
+
 # -- main ----------------------------------------------------------------------
 
 def test_main_single_run_exit_zero(tmp_path, capsys):

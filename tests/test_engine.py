@@ -1,5 +1,7 @@
 import gc
 import itertools
+import math
+import re
 import weakref
 from collections import Counter, defaultdict
 
@@ -44,8 +46,7 @@ def full_history_loads(cfg, topo, history, times):
 
 
 def short_config(**overrides):
-    base = dict(nodes=2, edges=1, prefixes=1, interests=1, mode=P.MODE_SINGLE,
-                horizon_s=40.0, interest_window_s=30.0, warmup_s=5.0, cooldown_start_s=35.0)
+    base = dict(mode=P.MODE_SINGLE, horizon_s=40.0)
     base.update(overrides)
     return SimulationConfig(**base)
 
@@ -259,14 +260,14 @@ def test_channel_is_fifo():
 # -- run-level behaviour -------------------------------------------------
 
 def test_no_interests_means_empty_packet_log():
-    load_log, records = E.run(short_config(interests=0), two_node_topology(), [])
+    load_log, records = E.run(short_config(), two_node_topology(), [])
     assert records == []
     assert len(load_log) == 2 * 40 * 5       # two channels, 5 updates/s, horizon 40
     assert all(s.load_mbps == 0.0 for s in load_log)
 
 
 def test_path_updates_on_exact_grid():
-    load_log, _ = E.run(short_config(interests=0), two_node_topology(), [])
+    load_log, _ = E.run(short_config(), two_node_topology(), [])
     times = sorted({s.time_s for s in load_log})
     assert times[:6] == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
     assert times == [i / 5 for i in range(len(times))]
@@ -275,7 +276,7 @@ def test_path_updates_on_exact_grid():
 def test_interest_near_horizon_left_unterminated():
     # Interest fires late; its chunks cannot finish the 0.125 s data leg.
     topo = two_node_topology(capacity=512.0, size_mb=16)
-    cfg = short_config(horizon_s=40.0, interest_window_s=40.0)
+    cfg = short_config(horizon_s=40.0)
     _, records = E.run(cfg, topo, [E.InterestEvent(39.99, 0, 0)])
     outcomes = check_conservation(records)
     assert outcomes[P.UNTERMINATED] >= 1
@@ -314,7 +315,50 @@ def test_interest_with_no_route_is_rejected():
                 Channel(2, 2, 3, 600.0), Channel(3, 3, 2, 600.0))
     islands = Topology((0, 1, 2, 3), channels, (Prefix(0, 8, (3,)),))
     with pytest.raises(ValueError, match="no path toward prefix 0"):
-        E.run(short_config(), islands, [E.InterestEvent(1.0, 0, 0)])
+        E.run(short_config(nodes=4, edges=2), islands, [E.InterestEvent(1.0, 0, 0)])
+
+
+# Scenario and output settings that fit the 2-node topology and one interest,
+# so that short_config(**TWO_NODE_SCENARIO) passes the CLI's full validate().
+TWO_NODE_SCENARIO = dict(nodes=2, edges=1, prefixes=1, interests=1, interest_window_s=30.0,
+                         warmup_s=5.0, cooldown_start_s=35.0)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(interest_window_s=41.0), dict(warmup_s=40.0), dict(interests=-1), dict(histogram_bin_s=0.0),
+    dict(nodes=1), dict(interest_window_s=math.nan), dict(warmup_s=math.nan),
+    dict(cooldown_start_s=math.nan), dict(histogram_bin_s=math.nan),
+], ids=lambda overrides: "-".join(f"{k}={v}" for k, v in overrides.items()))
+def test_run_ignores_settings_it_does_not_read(overrides):
+    base = short_config(**TWO_NODE_SCENARIO).validate()
+    cfg = short_config(**TWO_NODE_SCENARIO | overrides)
+    with pytest.raises(ValueError):
+        cfg.validate()
+    interests = [E.InterestEvent(1.0, 0, 0)]
+    assert E.run(cfg, two_node_topology(), interests) == E.run(base, two_node_topology(), interests)
+
+
+BAD_RUN_SETTINGS = [
+    ("mode", "x", "mode must be single or multi, got 'x'"),
+    ("k", 0, "k must be at least 1, got 0"),
+    ("horizon_s", 0.0, "horizon_s must be positive, got 0.0"),
+    ("path_updates_per_s", 0.0, "path_updates_per_s must be positive, got 0.0"),
+    ("load_window_s", 0.0, "load_window_s must be positive, got 0.0"),
+    ("buffer_packets", 0, "buffer_packets must be at least 1, got 0"),
+    ("propagation_delay_s", -1.0, "propagation_delay_s must be non-negative, got -1.0"),
+    ("epsilon_mbps", 0.0, "epsilon_mbps must be positive, got 0.0"),
+    *((name, value, f"{name} must be a finite number, got {value}")
+      for name in ("horizon_s", "path_updates_per_s", "load_window_s", "propagation_delay_s", "epsilon_mbps")
+      for value in (math.nan, math.inf)),
+]
+
+
+@pytest.mark.parametrize("name, value, message", [
+    pytest.param(*case, id=f"{case[0]}={case[1]}") for case in BAD_RUN_SETTINGS])
+def test_run_rejects_bad_run_setting(name, value, message):
+    cfg = short_config(**TWO_NODE_SCENARIO, **{name: value})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        E.run(cfg, two_node_topology(), [E.InterestEvent(1.0, 0, 0)])
 
 
 def test_finished_run_is_freed_without_cycle_collection():
@@ -349,7 +393,7 @@ def test_same_instant_arrivals_at_buffer_1_channel():
     topo = make_topology(5, [(0, 2, 1024.0), (1, 2, 1024.0), (2, 3, 1024.0), (3, 4, 1024.0)],
                          [Prefix(0, 8, (3,)), Prefix(1, 8, (4,))])
     interests = [E.InterestEvent(1.1, 0, 1), E.InterestEvent(1.1, 2, 0), E.InterestEvent(1.1, 1, 1)]
-    _, packets = E.run(short_config(nodes=5, edges=4, prefixes=2, buffer_packets=1), topo, interests)
+    _, packets = E.run(short_config(buffer_packets=1), topo, interests)
     check_conservation(packets)
     assert [(p.packet_id, p.kind, p.nodes, p.outcome) for p in packets] == [
         (0, P.INTEREST, (0, 2, 3, 4), P.DELIVERED),

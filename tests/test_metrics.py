@@ -22,48 +22,6 @@ def written(packets):
              p.created_s, p.terminated_s, p.outcome, p.route) for p in packets]
 
 
-# -- smooth --------------------------------------------------------------
-
-def test_smooth_window_one_is_identity():
-    series = [3.0, 1.0, 4.0, 1.0, 5.0]
-    assert M.smooth(series, 1) == series
-
-
-def test_smooth_hand_example():
-    assert M.smooth([0.0, 3.0, 6.0], 3) == [0.0, 1.5, 3.0]
-
-
-def test_smooth_constant_series_unchanged():
-    assert M.smooth([2.5] * 6, 4) == [2.5] * 6
-
-
-def test_smooth_rejects_bad_window():
-    with pytest.raises(ValueError):
-        M.smooth([1.0], 0)
-
-
-@pytest.mark.parametrize("window", [2.5, 0.5, float("nan"), float("inf"), "2"])
-def test_smooth_rejects_fractional_window(window):
-    with pytest.raises(ValueError):
-        M.smooth([1.0, 2.0, 3.0], window)
-
-
-def test_smooth_accepts_integral_float_window():
-    assert M.smooth([0.0, 3.0, 6.0], 3.0) == M.smooth([0.0, 3.0, 6.0], 3)
-
-
-def test_smooth_empty_series():
-    assert M.smooth([], 5) == []
-
-
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40), st.integers(1, 10))
-def test_smooth_stays_within_range(series, window):
-    out = M.smooth(series, window)
-    assert len(out) == len(series)
-    lo, hi = min(series), max(series)
-    assert all(lo - 1e-6 <= v <= hi + 1e-6 for v in out)
-
-
 # -- histogram -------------------------------------------------------------
 
 def test_histogram_hand_example():

@@ -1,4 +1,4 @@
-"""The pure-Python load statistics and ``smooth`` round exactly as numpy does.
+"""The pure-Python load statistics round exactly as numpy does.
 
 Each reference below is the numpy code these functions replaced. Values come
 from a seeded generator so that arrays can be long: numpy's pairwise sum
@@ -36,20 +36,6 @@ def numpy_load_statistics(rows):
     sq = np.cumsum(loads * loads, axis=1)[:, -1]
     variances = np.maximum(sq / channels - means * means, 0.0)
     return float(np.mean(sums)), float(np.mean(loads)), float(np.mean(np.sqrt(variances)))
-
-
-def numpy_smooth(series, window):
-    arr = np.asarray(list(series), dtype=float)
-    if arr.size == 0:
-        return []
-    w = int(window)
-    csum = np.cumsum(arr)
-    out = np.empty_like(arr)
-    head = min(w, arr.size)
-    out[:head] = csum[:head] / np.arange(1, head + 1)
-    if arr.size > w:
-        out[w:] = (csum[w:] - csum[:-w]) / w
-    return [float(v) for v in out]
 
 
 def summary_statistics(rows):
@@ -105,12 +91,3 @@ def test_load_statistics_match_numpy_at_desk_batch_size(seed):
     rows = [random_loads(rng, 60, 0.7, 2048.0) for _ in range(4500)]
     assert summary_statistics(rows) == numpy_load_statistics(rows)
     assert M._row_sums(rows)[0] == np.cumsum(np.array(rows), axis=1)[:, -1].tolist()
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32), n=st.one_of(st.just(0), lengths), window=st.integers(1, 300),
-       scale=scales)
-def test_smooth_matches_numpy(seed, n, window, scale):
-    rng = random.Random(seed)
-    series = [rng.uniform(-1.0, 1.0) * scale for _ in range(n)]
-    assert M.smooth(series, window) == numpy_smooth(series, window)
