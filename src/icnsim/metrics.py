@@ -4,10 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import chain
-from math import sqrt
-from operator import add, mul
+from math import fsum, sqrt
 from pathlib import Path
 from typing import NamedTuple
 
@@ -88,80 +85,41 @@ def delivery_times(packet_log) -> list[float]:
             if r.kind == protocol.DATA and r.outcome == protocol.DELIVERED]
 
 
-def _pairwise_sum(values, lo: int, n: int) -> float:
-    """Sum of ``values[lo:lo + n]`` rounded exactly as numpy's float64 pairwise sum.
-
-    Under 8 values a plain left fold; up to 128, eight accumulators over
-    every eighth value, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and
-    then the tail; above 128, the two halves split at a multiple of 8. Exact
-    zeros are skipped, which changes no sum of values that are all >= +0.0.
-    """
-    if n < 8:
-        return reduce(add, filter(None, values[lo:lo + n]), 0.0)
-    if n <= 128:
-        end = lo + n - n % 8
-        r0, r1, r2, r3, r4, r5, r6, r7 = [reduce(add, filter(None, values[i + 8:end:8]), values[i])
-                                          for i in range(lo, lo + 8)]
-        return reduce(add, filter(None, values[end:lo + n]),
-                      ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
-
-
-def _mean(values) -> float:
-    """``np.mean`` of a list of floats, rounded exactly as numpy rounds it."""
-    return _pairwise_sum(values, 0, len(values)) / len(values)
-
-
-def _row_sums(rows) -> tuple[list[float], list[float]]:
-    """Per row, the sum and the sum of squares, each a left fold in column order.
-
-    That is ``np.cumsum(rows, axis=1)[:, -1]``, not a pairwise sum. Idle
-    channels log exact zeros; skipping them changes no sum of loads >= +0.0.
-    """
-    sums = []
-    squares = []
-    for row in rows:
-        busy = list(filter(None, row))
-        sums.append(reduce(add, busy, 0.0))
-        squares.append(reduce(add, map(mul, busy, busy), 0.0))
-    return sums, squares
-
-
 def summarize(load_log: LoadLog, packet_log, warmup_end: float, cooldown_start: float, *,
               run_id: str = "", mode: str = "", interest_count: int = 0, seed: int = 0) -> RunSummary:
     """Run statistics.
 
     Load statistics use only samples with warmup_end <= t < cooldown_start:
     offered load is the per-sample-time sum over channels averaged over times,
-    and the load spread is the population standard deviation across channels
-    at each sample time, averaged over times. Packet statistics are not
-    time-filtered; average delivery is the mean of ``delivery_times``.
+    average load is offered load over the channel count, and the load spread
+    is the population standard deviation across channels at each sample time,
+    averaged over times. Packet statistics are not time-filtered; average
+    delivery is the mean of ``delivery_times``. Every sum is a correctly
+    rounded ``math.fsum`` divided once, so no figure depends on the order of
+    channels or packets.
     """
     rows = [row for t, row in zip(load_log.times, load_log.rows) if warmup_end <= t < cooldown_start]
     channels = len(rows[0]) if rows else 0
     if channels:
-        # Each row is summed in channel order and the means replicate numpy's
-        # pairwise sum, so every figure equals np.cumsum / np.mean to the bit.
-        sums, squares = _row_sums(rows)
+        sums = []
         spreads = []
-        for total, square in zip(sums, squares):
+        for row in rows:
+            total = fsum(row)
             mean = total / channels
-            variance = square / channels - mean * mean
+            variance = fsum([x * x for x in row]) / channels - mean * mean
             if variance < 0.0:  # rounding can leave a zero spread just below 0
                 variance = 0.0
+            sums.append(total)
             spreads.append(sqrt(variance))
-        offered = _mean(sums)
-        avg = _mean(list(chain.from_iterable(rows)))
-        std = _mean(spreads)
+        offered = fsum(sums) / len(rows)
+        avg = offered / channels
+        std = fsum(spreads) / len(rows)
     else:
         offered = avg = std = 0.0
 
     outcomes = Counter(r.outcome for r in packet_log)
     delays = delivery_times(packet_log)
-    # A left fold: from Python 3.12 sum() of floats is compensated and rounds differently.
-    avg_delivery = reduce(add, delays, 0.0) / len(delays) if delays else None
+    avg_delivery = fsum(delays) / len(delays) if delays else None
     return RunSummary(run_id, mode, interest_count, seed, avg_delivery,
                       outcomes[protocol.DELIVERED], outcomes[protocol.DROPPED],
                       outcomes[protocol.UNTERMINATED], offered, avg, std)

@@ -11,8 +11,8 @@ is the number of paths still wanted, no path dearer than the m-th cheapest
 candidate can be ranked, so a spur search gives up as soon as its lower bound
 exceeds that cost. Only strict excess over the cost plus a relative slack is
 cut: a path that ties the m-th candidate may still rank ahead of it by node
-sequence, and the search sums a path's cost in another order than the ranking
-does, so the two sums of one path can differ in the last bits.
+sequence, and the lower bound sums the rest of a path backwards from its
+anchor, so cost plus bound can exceed the path's cost in the last bits.
 """
 
 from __future__ import annotations
@@ -94,8 +94,11 @@ def _dist_to_targets(topology, costs, targets):
 
 
 def _best_path(topology, costs, src, targets, bound, banned_nodes, banned_first_hops, ban_trivial,
-               limit):
+               root_cost, limit):
     """Cheapest loopless path from src to any target, ties by node sequence.
+
+    Costs continue the left fold from ``root_cost``, the cost of the root
+    ending at src, so the cost returned is the candidate's ranking cost.
 
     Best-first search over (cost + lower bound, node sequence) labels with
     settled-node pruning. Costs are strictly positive and the bound is
@@ -111,12 +114,12 @@ def _best_path(topology, costs, src, targets, bound, banned_nodes, banned_first_
     in the same order as without it, so a path within the limit is found
     exactly as before; equality is never cut.
     """
-    f = bound[src]
+    f = root_cost + bound[src]
     if f == inf or f > limit or src in banned_nodes:
         return None
     adjacency = topology.adjacency
     done = set(banned_nodes)
-    heap = [(f, (src,), 0.0)]
+    heap = [(f, (src,), root_cost)]
     while heap:
         _, path, g = heapq.heappop(heap)
         node = path[-1]
@@ -142,27 +145,19 @@ def _best_path(topology, costs, src, targets, bound, banned_nodes, banned_first_
     return None
 
 
-def _path_cost(topology, costs, nodes):
-    # Left fold in node order; candidate costs must sum exactly like a
-    # root-to-leaf enumeration so tie-breaking stays reproducible.
-    g = 0.0
-    for a, b in zip(nodes, nodes[1:]):
-        g += costs[topology.channel(a, b).channel_id]
-    return g
-
-
 def _k_shortest(topology, costs, src, targets, k, bound):
     """Yen's ranking of the k cheapest loopless paths from src to targets.
 
     With m = k - len(accepted) paths still wanted and at least m candidates
     pending, every path still to be accepted costs at most C_m, the cost of
-    the m-th cheapest pending candidate. The spur search from a root of cost r
-    then gets the limit C_m * (1 + CUTOFF_SLACK) - r (inf while fewer than m
-    are pending): a spur beyond it could never be accepted, and since C_m
-    never rises it could not be accepted later either. A spur tying C_m is
-    kept, because the node sequence breaks the tie.
+    the m-th cheapest pending candidate. Each spur search continues the root's
+    cost and gets the limit C_m * (1 + CUTOFF_SLACK) (inf while fewer than m
+    are pending): a candidate beyond it could never be accepted, and since C_m
+    never rises it could not be accepted later either. A candidate tying C_m
+    is kept, because the node sequence breaks the tie; the slack covers the
+    lower bound summing the rest of a path in another order.
     """
-    first = _best_path(topology, costs, src, targets, bound, (), (), False, inf)
+    first = _best_path(topology, costs, src, targets, bound, (), (), False, 0.0, inf)
     if first is None:
         return []
     accepted = [(first[0], first[1])]
@@ -189,14 +184,14 @@ def _k_shortest(topology, costs, src, targets, k, bound):
                     else:
                         ban_trivial = True
             found = _best_path(topology, costs, spur, targets, bound,
-                               frozenset(root[:-1]), banned_hops, ban_trivial, ceiling - root_cost)
+                               frozenset(root[:-1]), banned_hops, ban_trivial, root_cost, ceiling)
             if found is None:
                 continue
             candidate = root[:-1] + found[1]
             if candidate in seen:
                 continue
             seen.add(candidate)
-            heapq.heappush(candidates, (_path_cost(topology, costs, candidate), candidate))
+            heapq.heappush(candidates, (found[0], candidate))
             if len(candidates) >= wanted:
                 ceiling = heapq.nsmallest(wanted, candidates)[-1][0] * (1 + CUTOFF_SLACK)
         if not candidates:

@@ -3,8 +3,8 @@
 Nothing here may call into the code paths it verifies: paths come from
 exhaustive DFS enumeration, shortest paths from a textbook predecessor-array
 Dijkstra, event order from a plain heap, window busy time from a channel's
-whole transmission history, and the conservation audit works purely on packet
-records.
+whole transmission history, correctly rounded sums from exact rational
+arithmetic, and the conservation audit works purely on packet records.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import heapq
 import random
 from bisect import bisect_right
 from collections import Counter
+from fractions import Fraction
 from itertools import accumulate
 from math import inf
 
@@ -139,6 +140,11 @@ def history_busy_seconds(intervals):
         return before[i] + max(0.0, min(t, end) - start)
 
     return lambda lo, hi: busy_until(hi) - busy_until(lo)
+
+
+def exact_sum(values):
+    """The float nearest the exact sum of ``values``, computed in rationals."""
+    return float(sum(map(Fraction, values), Fraction(0)))
 
 
 def check_conservation(records):

@@ -10,7 +10,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_no_module_imports_numpy():
-    # numpy is a test dependency only: importing every icnsim module must not load it.
+    # icnsim needs only the standard library: importing every module must not load numpy.
     modules = sorted(f"icnsim.{m.name}" for m in pkgutil.iter_modules(icnsim.__path__))
     assert "icnsim.metrics" in modules and "icnsim.cli" in modules
     script = ("import importlib, sys\n"

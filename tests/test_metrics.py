@@ -1,11 +1,13 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from icnsim import metrics as M
 from icnsim import protocol as P
 from icnsim.topology import Prefix, make_topology
+from oracles import exact_sum
 
 
 def record(pid, kind=P.DATA, created=0.0, terminated=1.0, outcome=P.DELIVERED,
@@ -98,11 +100,65 @@ def test_delivery_mean_over_data_packets():
     assert summary.delivered_count == 3
 
 
-def test_delivery_mean_is_a_left_fold():
-    # Ten delays of 0.1 summed one after another give 0.9999999999999999; a
-    # compensated sum (Python >= 3.12 sum()) would give 1.0 and a mean of 0.1.
+def test_delivery_mean_is_correctly_rounded():
+    # Ten delays of 0.1 summed one after another give 0.9999999999999999 and a
+    # mean of 0.09999999999999999; the correctly rounded sum is 1.0.
     log = [record(i, created=0.0, terminated=0.1) for i in range(10)]
-    assert M.summarize(M.LoadLog(), log, 50.0, 950.0).avg_delivery_s == 0.09999999999999999
+    assert M.summarize(M.LoadLog(), log, 50.0, 950.0).avg_delivery_s == 0.1
+
+
+def random_loads(rng, count, zero_share, scale):
+    """Loads >= +0.0 of mixed magnitude; about ``zero_share`` of them exact zeros."""
+    return [0.0 if rng.random() < zero_share else rng.random() * scale * rng.choice([1.0, 1e-3, 1e3])
+            for _ in range(count)]
+
+
+def exact_load_statistics(rows):
+    """(offered, avg, std) with every sum the float nearest its exact value."""
+    channels = len(rows[0])
+    sums = [exact_sum(row) for row in rows]
+    spreads = []
+    for row, total in zip(rows, sums):
+        mean = total / channels
+        variance = exact_sum([x * x for x in row]) / channels - mean * mean
+        spreads.append(math.sqrt(max(variance, 0.0)))
+    offered = exact_sum(sums) / len(rows)
+    return offered, offered / channels, exact_sum(spreads) / len(rows)
+
+
+def load_statistics(rows, packet_log=()):
+    s = M.summarize(M.LoadLog([100.0] * len(rows), rows), packet_log, 50.0, 950.0)
+    return s.offered_load_mbps, s.avg_load_mbps, s.std_load_mbps, s.avg_delivery_s
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), rows=st.integers(1, 40), channels=st.integers(1, 300),
+       zero_share=st.sampled_from([0.0, 0.5, 0.8, 0.95, 1.0]), scale=st.sampled_from([1.0, 2048.0, 1e9]))
+def test_load_statistics_are_correctly_rounded(seed, rows, channels, zero_share, scale):
+    rng = random.Random(seed)
+    table = [random_loads(rng, channels, zero_share, scale) for _ in range(rows)]
+    assert load_statistics(table)[:3] == exact_load_statistics(table)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_load_statistics_are_correctly_rounded_at_desk_batch_size(seed):
+    # 4,500 sample times x 60 channels = 270,000 loads; as on the desk
+    # scenario, most channels are idle at most times.
+    rng = random.Random(seed)
+    rows = [random_loads(rng, 60, 0.7, 2048.0) for _ in range(4500)]
+    assert load_statistics(rows)[:3] == exact_load_statistics(rows)
+
+
+@given(st.integers(1, 8).flatmap(lambda channels: st.lists(
+    st.lists(st.floats(0.0, 2048.0), min_size=channels, max_size=channels), min_size=1, max_size=12)),
+    st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30), st.randoms(use_true_random=False))
+def test_statistics_do_not_depend_on_order(rows, delays, rng):
+    packets = [record(i, created=1.0, terminated=1.0 + d) for i, d in enumerate(delays)]
+    shuffled_rows = [rng.sample(row, len(row)) for row in rows]
+    reversed_rows = [row[::-1] for row in rows]
+    expected = load_statistics(rows, packets)
+    assert load_statistics(shuffled_rows, rng.sample(packets, len(packets))) == expected
+    assert load_statistics(reversed_rows, packets[::-1]) == expected
 
 
 def test_no_delivered_data_means_absent_average():
