@@ -17,7 +17,10 @@ whole-run history's to the bit. Fresh tables are built at the first lookup
 after an update, from the loads logged at that update: the cost view, a tuple
 of costs indexed by channel id, starts from every channel's idle cost,
 computed once per run, and overwrites only the measured channels. An update
-with no interest before the next one builds nothing.
+with no interest before the next one builds nothing. The path searches' lower
+bounds are computed once per run too, one reverse Dijkstra per prefix at its
+first lookup, under the idle costs: no load is negative and a channel's cost
+never falls as its load rises, so every view is at least the idle view.
 
 Events are plain ``(time, seq, kind, payload)`` tuples handled in (time, seq)
 order, where ``seq`` is the scheduling order. With no propagation delay every
@@ -148,6 +151,9 @@ class Simulation:
         self._active: dict[int, ChannelState] = {}
         # Each channel's cost with no load; a cost view overwrites the measured ones.
         self._idle_costs = routing.idle_costs(topology, config.epsilon_mbps)
+        # No view is below the idle view, so its distances bound every table's
+        # searches; each prefix's are computed at its first lookup.
+        self._bounds = routing.LowerBounds(topology, self._idle_costs)
         # (channel id, load) pairs measured at the last path update, and the
         # tables built from them, or None until a lookup needs them.
         self._measured: list[tuple[int, float]] = []
@@ -225,7 +231,7 @@ class Simulation:
         cfg = self.config
         view = routing.compute_cost_view(self.topology, self._idle_costs, self._measured,
                                          cfg.epsilon_mbps)
-        return routing.rebuild_tables(self.topology, view, cfg.k)[0]
+        return routing.rebuild_tables(self.topology, view, cfg.k, self._bounds)[0]
 
     def _handle_transmit_complete(self, now, state):
         packet = state.queue.popleft()

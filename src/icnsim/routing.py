@@ -6,13 +6,23 @@ lexicographically by node sequence. The anchor set of a prefix acts as a
 virtual sink: the k paths for one prefix may end at different anchors, and a
 ranked path may pass through one anchor on its way to another.
 
+The searches are A* searches. A prefix's lower bound is every node's
+distance to its anchors under a floor view, a cost view that no table's view
+undercuts on any channel; ``LowerBounds`` computes it once per prefix and
+keeps it for every table that shares the floor. The bound is consistent for
+any view that dominates the floor, since a channel's floor cost never exceeds
+its cost in the view, and ``rebuild_tables`` rejects a view that does not. A
+simulation run uses its idle costs as the floor: a channel's cost never falls
+as its load rises, and no load is negative.
+
 Spur searches are cut off. Once at least m candidates are pending, where m
 is the number of paths still wanted, no path dearer than the m-th cheapest
 candidate can be ranked, so a spur search gives up as soon as its lower bound
 exceeds that cost. Only strict excess over the cost plus a relative slack is
 cut: a path that ties the m-th candidate may still rank ahead of it by node
 sequence, and the lower bound sums the rest of a path backwards from its
-anchor, so cost plus bound can exceed the path's cost in the last bits.
+anchor, so where the view equals the floor, cost plus bound can exceed the
+path's cost in the last bits.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import inf
+from operator import ge
 
 from .topology import Topology
 
@@ -71,8 +82,8 @@ class RoutePath:
 def _dist_to_targets(topology, costs, targets):
     """Cheapest directed cost from every node to its nearest target.
 
-    Reverse multi-source Dijkstra over incoming channels; the exact lower
-    bound of the path search.
+    Reverse multi-source Dijkstra over incoming channels; under a floor view,
+    the lower bound of the path search for every view that dominates it.
     """
     dist = [inf] * len(topology.nodes)
     heap = []
@@ -101,13 +112,16 @@ def _best_path(topology, costs, src, targets, bound, banned_nodes, banned_first_
     ending at src, so the cost returned is the candidate's ranking cost.
 
     Best-first search over (cost + lower bound, node sequence) labels with
-    settled-node pruning. Costs are strictly positive and the bound is
-    consistent, so the first label popped at each node is the minimal path to
-    it under (cost, sequence), and settling nodes is sound: every node on a
-    popped label's path is itself already settled, so a pruned alternative can
-    never have been needed for looplessness. With ``ban_trivial`` the
-    single-node path is excluded (the search must leave src even when src is
-    itself a target).
+    settled-node pruning. ``bound`` holds each node's distance to the targets
+    under a floor view that ``costs`` dominates channel by channel, so it is
+    consistent: a node's bound exceeds neither a channel's floor cost plus the
+    bound at its far end, nor therefore its cost in ``costs`` plus that bound.
+    Costs are strictly positive, so the first label popped at each node is the
+    minimal path to it under (cost, sequence), and settling nodes is sound:
+    every node on a popped label's path is itself already settled, so a
+    pruned alternative can never have been needed for looplessness. With
+    ``ban_trivial`` the single-node path is excluded (the search must leave
+    src even when src is itself a target).
 
     No label whose cost plus lower bound exceeds ``limit`` enters the heap,
     and the search returns None once none is left. Labels within the limit pop
@@ -200,28 +214,47 @@ def _k_shortest(topology, costs, src, targets, k, bound):
     return [RoutePath(nodes, cost) for cost, nodes in accepted]
 
 
+class LowerBounds:
+    """Per-prefix lower bounds of the path search under one floor view.
+
+    ``floor`` is a cost view indexed by channel id. ``bounds[prefix_id]`` is
+    the pair (the prefix's anchors as a frozenset, every node's distance to
+    them under ``floor``), computed at the first request and kept, so each
+    prefix costs one reverse Dijkstra however many tables read it. The
+    distances bound the search of every view that is at least ``floor`` on
+    every channel.
+    """
+
+    def __init__(self, topology: Topology, floor: tuple[float, ...]):
+        self.topology = topology
+        self.floor = floor
+        self._by_prefix: dict[int, tuple[frozenset[int], list[float]]] = {}
+
+    def __getitem__(self, prefix_id: int) -> tuple[frozenset[int], list[float]]:
+        entry = self._by_prefix.get(prefix_id)
+        if entry is None:
+            anchors = self.topology.prefixes[prefix_id].anchors
+            entry = (frozenset(anchors), _dist_to_targets(self.topology, self.floor, anchors))
+            self._by_prefix[prefix_id] = entry
+        return entry
+
+
 class RouteSet:
     """FIB: up to k cheapest anchor-bound paths per (node, prefix).
 
     Entries are computed on first use and cached. Each entry is a pure
     function of the frozen cost view, so lazy evaluation is indistinguishable
-    from an eager rebuild.
+    from an eager rebuild. The searches read their lower bounds from
+    ``bounds``, a ``LowerBounds`` whose floor the cost view dominates; the
+    bound changes which labels a search visits, never the paths it returns.
     """
 
-    def __init__(self, topology, costs, k):
+    def __init__(self, topology, costs, k, bounds):
         self.topology = topology
         self.costs = costs
         self.k = k
+        self.bounds = bounds
         self._entries: dict[tuple[int, int], tuple[RoutePath, ...]] = {}
-        self._bounds: dict[int, list[float]] = {}
-
-    def _bound(self, prefix_id):
-        bound = self._bounds.get(prefix_id)
-        if bound is None:
-            anchors = self.topology.prefixes[prefix_id].anchors
-            bound = _dist_to_targets(self.topology, self.costs, anchors)
-            self._bounds[prefix_id] = bound
-        return bound
 
     def paths(self, node: int, prefix_id: int) -> tuple[RoutePath, ...]:
         """Up to k cheapest loopless paths from node ending at any anchor of the prefix.
@@ -234,15 +267,21 @@ class RouteSet:
         key = (node, prefix_id)
         entry = self._entries.get(key)
         if entry is None:
-            anchors = frozenset(self.topology.prefixes[prefix_id].anchors)
-            entry = tuple(_k_shortest(self.topology, self.costs, node, anchors,
-                                      self.k, self._bound(prefix_id)))
+            anchors, bound = self.bounds[prefix_id]
+            entry = tuple(_k_shortest(self.topology, self.costs, node, anchors, self.k, bound))
             self._entries[key] = entry
         return entry
 
 
-def rebuild_tables(topology: Topology, costs: tuple[float, ...], k: int) -> tuple[RouteSet]:
+def rebuild_tables(topology: Topology, costs: tuple[float, ...], k: int,
+                   bounds: LowerBounds) -> tuple[RouteSet]:
     """A fresh FIB snapshot for one cost view, as a 1-tuple ``(RouteSet,)``.
+
+    ``bounds`` supplies the searches' lower bounds. Its floor must be at most
+    ``costs`` on every channel, which keeps the bound consistent for this
+    view; a view below the floor anywhere raises ValueError, since the search
+    could then return paths that are not the cheapest. A simulation run
+    passes one ``LowerBounds`` over its idle costs to every table it builds.
 
     The tuple has one element only because the benchmark tracer in
     ``perfbench/spans.py`` reads ``result[0]``; it can return the
@@ -250,4 +289,9 @@ def rebuild_tables(topology: Topology, costs: tuple[float, ...], k: int) -> tupl
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    return (RouteSet(topology, costs, k),)
+    if bounds.topology is not topology:
+        raise ValueError("bounds must be computed on the same topology")
+    floor = bounds.floor
+    if len(costs) != len(floor) or not all(map(ge, costs, floor)):
+        raise ValueError("costs must be at least the bounds' floor on every channel")
+    return (RouteSet(topology, costs, k, bounds),)

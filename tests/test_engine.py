@@ -563,6 +563,33 @@ def test_tables_built_at_first_lookup_from_update_loads(monkeypatch):
     assert len(tables) == len(views)
 
 
+def test_one_reverse_dijkstra_per_prefix_per_run(monkeypatch):
+    # Every table of a run reads its lower bounds from one set over the idle
+    # costs, so a prefix's reverse Dijkstra runs at its first lookup only,
+    # however many tables are built after it.
+    from icnsim import routing as R
+    from icnsim.cli import build_inputs
+    cfg = mesh_config()
+    topo, scenario = build_inputs(cfg)
+    searched, tables = [], []
+    dist_to_targets, rebuild_tables = R._dist_to_targets, R.rebuild_tables
+
+    def counted_dist(topology, costs, targets):
+        searched.append(targets)
+        return dist_to_targets(topology, costs, targets)
+
+    def counted_rebuild(*args):
+        tables.append(args)
+        return rebuild_tables(*args)
+
+    monkeypatch.setattr(R, "_dist_to_targets", counted_dist)
+    monkeypatch.setattr(R, "rebuild_tables", counted_rebuild)
+    E.run(cfg, topo, scenario)
+    looked_up = {ev.prefix_id for ev in scenario}
+    assert len(tables) > len(topo.prefixes)
+    assert len(searched) <= len(looked_up)
+
+
 def test_load_never_exceeds_capacity():
     topo, (load_log, _) = mesh_run(interests=800)
     capacity = {ch.channel_id: ch.capacity_mbps for ch in topo.channels}

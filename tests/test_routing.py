@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -18,9 +19,25 @@ def unit_costs(topology):
     return tuple(1.0 for _ in topology.channels)
 
 
+def own_tables(topology, costs, k):
+    """Tables for one view, bounded under that view itself: the exact bound."""
+    (fib,) = R.rebuild_tables(topology, costs, k, R.LowerBounds(topology, costs))
+    return fib
+
+
 def table_paths(topology, costs, src, k):
-    """The engine's table entry for (src, prefix 0)."""
-    return R.rebuild_tables(topology, costs, k)[0].paths(src, 0)
+    """The engine's table entry for (src, prefix 0), under the view's own floor."""
+    return own_tables(topology, costs, k).paths(src, 0)
+
+
+def assert_matches_brute_force(topology, fib, view, src, k):
+    """The table's entry for (src, prefix 0) is the oracle's, ties included."""
+    targets = topology.prefixes[0].anchors
+    got = [(p.cost, p.nodes) for p in fib.paths(src, 0)]
+    want = brute_force_k_paths(topology, view, src, targets, k)
+    assert [n for _, n in got] == [n for _, n in want]
+    for (gc, _), (wc, _) in zip(got, want):
+        assert gc == pytest.approx(wc, rel=1e-9)
 
 
 def triangle():
@@ -139,12 +156,7 @@ def test_multi_anchor_paths_may_pass_through_an_anchor():
 def test_matches_brute_force(seed, k):
     topology, view = random_case(seed)
     src = seed % len(topology.nodes)
-    targets = topology.prefixes[0].anchors
-    got = [(p.cost, p.nodes) for p in table_paths(topology, view, src, k)]
-    want = brute_force_k_paths(topology, view, src, targets, k)
-    assert [n for _, n in got] == [n for _, n in want]
-    for (gc, _), (wc, _) in zip(got, want):
-        assert gc == pytest.approx(wc, rel=1e-9)
+    assert_matches_brute_force(topology, own_tables(topology, view, k), view, src, k)
 
 
 @st.composite
@@ -177,12 +189,7 @@ def test_matches_brute_force_with_ties(case):
     # Guards the spur-search cut-off: a spur that ties the cut-off cost may
     # still rank ahead by node sequence, so it must not be cut.
     topology, view, src, k = case
-    targets = topology.prefixes[0].anchors
-    got = [(p.cost, p.nodes) for p in table_paths(topology, view, src, k)]
-    want = brute_force_k_paths(topology, view, src, targets, k)
-    assert [n for _, n in got] == [n for _, n in want]
-    for (gc, _), (wc, _) in zip(got, want):
-        assert gc == pytest.approx(wc, rel=1e-9)
+    assert_matches_brute_force(topology, own_tables(topology, view, k), view, src, k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,7 +222,7 @@ def test_paths_are_loopless_and_anchor_terminated():
     rng = random.Random(5)
     topo = T.generate_topology(10, 30, 15, rng)
     view = random_cost_view(topo, rng)
-    (fib,) = R.rebuild_tables(topo, view, 3)
+    fib = own_tables(topo, view, 3)
     for prefix in topo.prefixes:
         for node in topo.nodes:
             paths = fib.paths(node, prefix.prefix_id)
@@ -231,7 +238,7 @@ def test_paths_are_loopless_and_anchor_terminated():
 
 def test_self_anchor_entry():
     topo = triangle()
-    (fib,) = R.rebuild_tables(topo, unit_costs(topo), 3)
+    fib = own_tables(topo, unit_costs(topo), 3)
     paths = fib.paths(2, 0)
     assert paths[0].nodes == (2,)
     assert paths[0].cost == 0.0
@@ -241,7 +248,7 @@ def test_k1_fib_ends_at_nearest_anchor():
     rng = random.Random(11)
     topo = T.generate_topology(10, 30, 15, rng)
     view = random_cost_view(topo, rng)
-    (fib,) = R.rebuild_tables(topo, view, 1)
+    fib = own_tables(topo, view, 1)
     for prefix in topo.prefixes:
         for node in topo.nodes:
             best = fib.paths(node, prefix.prefix_id)[0]
@@ -256,7 +263,7 @@ def test_fib_against_oracle_at_full_scale():
     rng = random.Random(17)
     topo = T.generate_topology(10, 30, 15, rng)
     view = random_cost_view(topo, rng)
-    (fib,) = R.rebuild_tables(topo, view, 3)
+    fib = own_tables(topo, view, 3)
     all_targets = frozenset(range(len(topo.nodes)))
     for node in topo.nodes:
         by_endpoint = enumerate_anchor_paths(topo, view, node, all_targets)
@@ -272,4 +279,79 @@ def test_fib_against_oracle_at_full_scale():
 def test_rebuild_requires_positive_k():
     topo = triangle()
     with pytest.raises(ValueError):
-        R.rebuild_tables(topo, unit_costs(topo), 0)
+        own_tables(topo, unit_costs(topo), 0)
+
+
+# -- LowerBounds -------------------------------------------------------
+
+@st.composite
+def floored_case(draw):
+    """A random view with a floor at most the view on every channel, a source and k.
+
+    The floor is the view itself, the view scaled by a factor in (0, 1], or
+    the idle view, with the view drawn as the costs of random loads (exact
+    zeros and loads where the cost clamps included).
+    """
+    topology, view = random_case(draw(st.integers(0, 10_000)))
+    kind = draw(st.sampled_from(["equal", "scaled", "idle"]))
+    if kind == "equal":
+        floor = view
+    elif kind == "scaled":
+        scale = draw(st.floats(0.0, 1.0, exclude_min=True))
+        floor = tuple(c * scale for c in view)
+    else:
+        floor = R.idle_costs(topology, EPS)
+        loads = [(ch.channel_id, draw(st.one_of(
+                     st.just(0.0), st.floats(0.0, ch.capacity_mbps),
+                     st.floats(ch.capacity_mbps - EPS, ch.capacity_mbps))))
+                 for ch in topology.channels]
+        view = R.compute_cost_view(topology, floor, loads, EPS)
+    src = draw(st.integers(0, len(topology.nodes) - 1))
+    return topology, floor, view, src, draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=floored_case())
+def test_weaker_floor_matches_brute_force(case):
+    # One LowerBounds serves the tables of the view and of the floor, as one
+    # serves every table of a run; a bound below the view's own changes which
+    # labels a search visits, never the paths it returns. The view's table
+    # asks first, so bounds kept from the first table's view would fail here.
+    topology, floor, view, src, k = case
+    bounds = R.LowerBounds(topology, floor)
+    for costs in (view, floor):
+        (fib,) = R.rebuild_tables(topology, costs, k, bounds)
+        assert_matches_brute_force(topology, fib, costs, src, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tie_heavy_case(), data=st.data())
+def test_weaker_floor_matches_brute_force_with_ties(case, data):
+    # Each channel's floor is drawn from {0.25, 0.5, 1.0} at or below its cost,
+    # so sums stay exact and a weaker bound must still break ties by sequence.
+    topology, view, src, k = case
+    floor = tuple(data.draw(st.sampled_from([f for f in (0.25, 0.5, 1.0) if f <= c]))
+                  for c in view)
+    (fib,) = R.rebuild_tables(topology, view, k, R.LowerBounds(topology, floor))
+    assert_matches_brute_force(topology, fib, view, src, k)
+
+
+@pytest.mark.parametrize("channel_id", range(6))
+def test_rebuild_rejects_a_view_below_the_floor(channel_id):
+    topo = triangle()
+    floor = R.idle_costs(topo, EPS)
+    bounds = R.LowerBounds(topo, floor)
+    view = list(floor)
+    view[channel_id] = math.nextafter(view[channel_id], 0.0)
+    with pytest.raises(ValueError, match="floor"):
+        R.rebuild_tables(topo, tuple(view), 3, bounds)
+    R.rebuild_tables(topo, floor, 3, bounds)
+
+
+def test_rebuild_rejects_bounds_of_another_shape():
+    topo = triangle()
+    floor = R.idle_costs(topo, EPS)
+    with pytest.raises(ValueError, match="floor"):
+        R.rebuild_tables(topo, floor[:-1], 3, R.LowerBounds(topo, floor))
+    with pytest.raises(ValueError, match="topology"):
+        R.rebuild_tables(topo, floor, 3, R.LowerBounds(triangle(), floor))
