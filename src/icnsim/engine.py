@@ -32,11 +32,21 @@ drained before the clock moves.
 
 A packet's object is its log record. It joins the log when it is created, as
 ``Unterminated`` until a delivery or drop ends it, and ids come from one
-counter in creation order, so the log is in packet-id order.
+counter in creation order, so the log is in packet-id order. Routes are
+shared per run: every packet on a route holds the same ``nodes`` tuple, and
+every data packet answering it the same reversed tuple, from the run's route
+table (see ``protocol.Routes``).
+
+The cyclic garbage collector is paused for the event loop and left as the
+caller had it. A run makes no reference cycles, so reference counting alone
+frees everything it drops, and the collector would only walk the growing
+packet log again and again. ``Simulation.run`` turns it back on only if it
+was on before, also when the run raises.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 from collections import deque
@@ -110,13 +120,18 @@ class ChannelState:
 
     The queue head is the packet on the wire. ``sent`` holds ``(start, end,
     busy seconds before start)`` per transmission that a later load window
-    can still read, oldest first; path updates prune it from the left.
+    can still read, oldest first; path updates prune it from the left. The
+    channel's id, far end and rate in bit/s are copied out of it for the
+    per-hop handlers.
     """
 
-    __slots__ = ("channel", "queue", "sent", "_total_busy")
+    __slots__ = ("channel", "channel_id", "to_node", "rate_bps", "queue", "sent", "_total_busy")
 
     def __init__(self, channel):
         self.channel = channel
+        self.channel_id = channel.channel_id
+        self.to_node = channel.to_node
+        self.rate_bps = channel.capacity_mbps * 1e6
         self.queue: deque[protocol.Packet] = deque()
         self.sent: deque[tuple[float, float, float]] = deque()
         self._total_busy = 0.0
@@ -142,9 +157,16 @@ class Simulation:
         self.topology = topology
         self.queue = EventQueue()
         self.channels = [ChannelState(ch) for ch in topology.channels]
-        self._channel_states = {(state.channel.from_node, state.channel.to_node): state
-                                for state in self.channels}
+        # The channel from a node to a neighbor: outgoing[node][neighbor].
+        self._outgoing: list[dict[int, ChannelState]] = [{} for _ in topology.nodes]
+        for state in self.channels:
+            self._outgoing[state.channel.from_node][state.to_node] = state
+        # Read on every hop, so kept off the config.
+        self._buffer_packets = config.buffer_packets
+        self._propagation_delay_s = config.propagation_delay_s
         self.packets: list[protocol.Packet] = []
+        # Each route once per run, with its reverse, for every packet on it.
+        self._routes = protocol.Routes()
         self.load_log = metrics.LoadLog()
         # Channels that have transmitted since a path update last found them
         # idle for a whole load window, by channel id.
@@ -174,17 +196,29 @@ class Simulation:
             self.queue.schedule(ev.time_s, INIT_INTEREST, ev)
 
     def run(self):
+        """Handle events up to the horizon; returns (load_log, packets).
+
+        The cyclic collector is off while events are handled, since a run
+        makes no reference cycles, and is turned back on afterwards only if
+        it was on when the run started, also when a handler raises.
+        """
         pop = self.queue.pop
         # Indexed by kind. Local: bound methods kept on self would hold a
         # finished run until a full GC.
         handlers = (self._handle_init_interest, self._handle_transmit_complete,
                     self._handle_receive, self._handle_path_update)
-        # END_OF_RUN stays queued until it pops, so the queue never runs dry.
-        while True:
-            now, _, kind, payload = pop()
-            if kind == END_OF_RUN:
-                break
-            handlers[kind](now, payload)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            # END_OF_RUN stays queued until it pops, so the queue never runs dry.
+            while True:
+                now, _, kind, payload = pop()
+                if kind == END_OF_RUN:
+                    break
+                handlers[kind](now, payload)
+        finally:
+            if collecting:
+                gc.enable()
         return self.load_log, self.packets
 
     # -- event handlers -------------------------------------------------
@@ -221,7 +255,8 @@ class Simulation:
             tables = self.tables = self._build_tables()
         prefix = self.topology.prefixes[interest.prefix_id]
         paths = tables.paths(interest.consumer, interest.prefix_id)
-        packets = protocol.split_interest(prefix, paths, self.config.mode, now, self._ids)
+        packets = protocol.split_interest(prefix, paths, self.config.mode, now, self._ids,
+                                          self._routes)
         self.packets.extend(packets)
         for packet in packets:
             self._forward(packet, now)
@@ -236,8 +271,7 @@ class Simulation:
     def _handle_transmit_complete(self, now, state):
         packet = state.queue.popleft()
         # With no propagation delay this lands in the queue's same-time lane.
-        self.queue.schedule(now + self.config.propagation_delay_s, RECEIVE,
-                            (state.channel.to_node, packet))
+        self.queue.schedule(now + self._propagation_delay_s, RECEIVE, (state.to_node, packet))
         if state.queue:
             self._start_transmission(state, now)
 
@@ -254,7 +288,7 @@ class Simulation:
         if packet.kind == protocol.INTEREST:
             # Anchor reached: answer with a data chunk on the reversed route.
             self._terminate(packet, protocol.DELIVERED, now)
-            data = protocol.make_data_response(packet, self._ids)
+            data = protocol.make_data_response(packet, self._ids, self._routes)
             self.packets.append(data)
             self._forward(data, now)
         else:
@@ -267,20 +301,20 @@ class Simulation:
         route = packet.nodes
         hop = packet.hop_index
         packet.hop_index = hop + 1
-        state = self._channel_states[route[hop], route[hop + 1]]
+        state = self._outgoing[route[hop]][route[hop + 1]]
         queue = state.queue
-        if len(queue) >= self.config.buffer_packets:
+        queued = len(queue)
+        if queued >= self._buffer_packets:
             self._terminate(packet, protocol.DROPPED, now)
             return
         queue.append(packet)
-        if len(queue) == 1:
+        if not queued:
             self._start_transmission(state, now)
 
     def _start_transmission(self, state, now):
-        packet = state.queue[0]
-        end = now + packet.size_bits / (state.channel.capacity_mbps * 1e6)
+        end = now + state.queue[0].size_bits / state.rate_bps
         state.record_transmission(now, end)
-        self._active[state.channel.channel_id] = state
+        self._active[state.channel_id] = state
         self.queue.schedule(end, TRANSMIT_COMPLETE, state)
 
     def _terminate(self, packet, outcome, now):
@@ -298,5 +332,9 @@ def run(config, topology, interests):
     consumer is not a node or anchors the prefix. Raises
     ``protocol.RouteUnavailableError``, a ValueError, when a consumer can reach
     no anchor of its prefix: only a hand-built disconnected ``Topology`` can.
+
+    Packets on equal routes share one ``nodes`` tuple. The cyclic collector is
+    paused while events are handled, which is safe because a run makes no
+    reference cycles, and is left on or off as the caller had it.
     """
     return Simulation(config, topology, interests).run()

@@ -161,15 +161,29 @@ def write_csv(topology, load_log: LoadLog, packet_log, summary: RunSummary, out_
 
 
 def _packet_rows(run_id, packet_log):
+    """``packets.csv`` rows, each route's columns and each created time formatted once.
+
+    An interest's chunks and the data packets answering them share one
+    created time, so the formatted times are cached by value. Zero is never
+    cached: ``-0.0 == 0.0`` as a key, yet an interest at ``-0.0`` prints
+    ``-0.000000``, so each zero is formatted with its own sign.
+    """
     routes: dict[tuple[int, ...], tuple[str, str]] = {}
+    times: dict[float, str] = {}
     for r in packet_log:
         nodes = r.nodes
         route = routes.get(nodes)
         if route is None:
             route = routes[nodes] = (f"{r.src},{r.dst}", r.route)
+        created_s = r.created_s
+        created = times.get(created_s)
+        if created is None:
+            created = f"{created_s:.6f}"
+            if created_s:
+                times[created_s] = created
         terminated = "" if r.terminated_s is None else f"{r.terminated_s:.6f}"
         yield (f"{run_id},{r.packet_id},{r.kind},{r.prefix_id},{r.chunk_index},{route[0]},"
-               f"{r.created_s:.6f},{terminated},{r.outcome},{route[1]}\n")
+               f"{created},{terminated},{r.outcome},{route[1]}\n")
 
 
 def write_histogram(bins, path) -> Path:

@@ -21,6 +21,22 @@ INTEREST_SIZE_BITS = 800_000
 DATA_SIZE_BITS = 64_000_000
 
 
+class Routes(dict):
+    """A run's route table: each route once, with its reverse.
+
+    Keyed by an interest route's node tuple, it holds the ``(route, reversed
+    route)`` pair that every interest on that route and every data chunk
+    answering one share. A route missing at lookup is stored then. One table
+    lives as long as one run.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, nodes):
+        pair = self[nodes] = (nodes, nodes[::-1])
+        return pair
+
+
 class RouteUnavailableError(ValueError):
     """No forwarding path is known for the requested prefix.
 
@@ -63,12 +79,15 @@ class Packet:
         return "-".join(map(str, self.nodes))
 
 
-def split_interest(prefix, paths, mode: str, now: float, ids: Iterator[int]) -> list[Packet]:
+def split_interest(prefix, paths, mode: str, now: float, ids: Iterator[int],
+                   routes: Routes) -> list[Packet]:
     """One interest packet per 8 MB chunk of the prefix's data object.
 
     Single mode pins every chunk to the cheapest path; multi mode deals chunks
     round-robin across the available paths (which degrades to single-path when
-    only one loopless path exists).
+    only one loopless path exists). Each chunk's ``nodes`` is the tuple that
+    ``routes``, the run's route table, holds for its path; a path not yet in
+    the table is stored there.
     """
     if not paths:
         raise RouteUnavailableError(f"no path toward prefix {prefix.prefix_id}")
@@ -79,22 +98,24 @@ def split_interest(prefix, paths, mode: str, now: float, ids: Iterator[int]) -> 
     pool = paths[:1] if mode == MODE_SINGLE else paths
     packets = []
     for chunk in range(prefix.size_mb // CHUNK_SIZE_MB):
-        route = tuple(pool[chunk % len(pool)].nodes)
+        route = routes[pool[chunk % len(pool)].nodes][0]
         packets.append(Packet(next(ids), INTEREST, prefix.prefix_id, chunk,
                               INTEREST_SIZE_BITS, route, 0, now))
     return packets
 
 
-def make_data_response(interest: Packet, ids: Iterator[int]) -> Packet:
+def make_data_response(interest: Packet, ids: Iterator[int], routes: Routes) -> Packet:
     """Data chunk answering an interest that reached its anchor.
 
-    The route is the interest's route reversed. The data packet inherits the
-    interest's creation time, so its delivery time spans the full request
-    round trip.
+    The route is the interest's route reversed: the tuple that ``routes``, the
+    run's route table, holds for it, so responses on one route share it. An
+    interest route not yet in the table is stored there. The data packet
+    inherits the interest's creation time, so its delivery time spans the
+    full request round trip.
     """
     if interest.kind != INTEREST:
         raise RuntimeError(f"data response requested for a {interest.kind} packet")
     if interest.hop_index != len(interest.nodes) - 1:
         raise RuntimeError("data response requested before the interest reached its anchor")
     return Packet(next(ids), DATA, interest.prefix_id, interest.chunk_index,
-                  DATA_SIZE_BITS, interest.nodes[::-1], 0, interest.created_s)
+                  DATA_SIZE_BITS, routes[interest.nodes][1], 0, interest.created_s)

@@ -309,13 +309,18 @@ def test_bad_interest_is_rejected(event):
         E.run(short_config(), two_node_topology(), [event])
 
 
-def test_interest_with_no_route_is_rejected():
+def no_route_inputs():
+    """Inputs whose first interest has no route: a RouteUnavailableError."""
     # Only a hand-built topology can be disconnected; make_topology rejects one.
     channels = (Channel(0, 0, 1, 600.0), Channel(1, 1, 0, 600.0),
                 Channel(2, 2, 3, 600.0), Channel(3, 3, 2, 600.0))
     islands = Topology((0, 1, 2, 3), channels, (Prefix(0, 8, (3,)),))
+    return short_config(nodes=4, edges=2), islands, [E.InterestEvent(1.0, 0, 0)]
+
+
+def test_interest_with_no_route_is_rejected():
     with pytest.raises(ValueError, match="no path toward prefix 0"):
-        E.run(short_config(nodes=4, edges=2), islands, [E.InterestEvent(1.0, 0, 0)])
+        E.run(*no_route_inputs())
 
 
 # Scenario and output settings that fit the 2-node topology and one interest,
@@ -361,18 +366,68 @@ def test_run_rejects_bad_run_setting(name, value, message):
         E.run(cfg, two_node_topology(), [E.InterestEvent(1.0, 0, 0)])
 
 
+def two_node_inputs():
+    return short_config(), two_node_topology(), [E.InterestEvent(1.0, 0, 0)]
+
+
+def mesh_inputs():
+    """A buffer-2 mesh run's inputs: it has drops, data responses and several tables."""
+    from icnsim.cli import build_inputs
+    cfg = mesh_config(buffer_packets=2)
+    return (cfg, *build_inputs(cfg))
+
+
 def test_finished_run_is_freed_without_cycle_collection():
-    # run_batch keeps only summaries: a reference cycle through the simulation
-    # would keep each finished run alive until a full collection.
-    sim = E.Simulation(short_config(), two_node_topology(), [E.InterestEvent(1.0, 0, 0)])
-    sim.run()
-    ref = weakref.ref(sim)
+    # run_batch keeps only summaries, and Simulation.run pauses the collector:
+    # a reference cycle through the simulation or its logs would keep each
+    # finished run alive until a full collection.
+    collecting = gc.isenabled()
     gc.disable()
     try:
-        del sim
-        assert ref() is None
+        for inputs in (two_node_inputs, mesh_inputs):
+            sim = E.Simulation(*inputs())
+            logs = sim.run()
+            if inputs is mesh_inputs:
+                kinds = {(p.kind, p.outcome) for p in logs[1]}
+                assert {(P.INTEREST, P.DROPPED), (P.DATA, P.DELIVERED)} <= kinds
+            refs = [weakref.ref(sim), weakref.ref(logs[0])]
+            del sim, logs
+            assert [ref() for ref in refs] == [None, None], inputs.__name__
     finally:
-        gc.enable()
+        if collecting:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("raises", [False, True], ids=["run-ends", "run-raises"])
+def test_run_leaves_the_collector_as_it_found_it(enabled, raises):
+    collecting = gc.isenabled()
+    seen = []
+    original = E.Simulation._handle_init_interest
+
+    def spy(sim, now, interest):
+        seen.append(gc.isenabled())
+        original(sim, now, interest)
+
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(E.Simulation, "_handle_init_interest", spy)
+            if raises:
+                with pytest.raises(P.RouteUnavailableError):
+                    E.Simulation(*no_route_inputs()).run()
+            else:
+                E.Simulation(*two_node_inputs()).run()
+        assert seen == [False]
+        assert gc.isenabled() == enabled
+    finally:
+        if collecting:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 def test_receive_at_wrong_node_is_fatal():
@@ -480,6 +535,14 @@ def mesh_run(**overrides):
     cfg = mesh_config(**overrides)
     topo, scenario = build_inputs(cfg)
     return topo, E.run(cfg, topo, scenario)
+
+
+def test_packets_on_equal_routes_share_one_tuple():
+    _, (_, records) = mesh_run(buffer_packets=2)
+    for kind in (P.INTEREST, P.DATA):
+        packets = [p for p in records if p.kind == kind]
+        assert len({p.nodes for p in packets}) < len(packets)
+        assert len({id(p.nodes) for p in packets}) == len({p.nodes for p in packets})
 
 
 def test_conservation_and_route_reversal_on_mesh():

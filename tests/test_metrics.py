@@ -237,6 +237,28 @@ def test_delivered_packet_row(tmp_path):
         "7-single,0,data,0,0,0,1,0.500000,0.625000,Delivered,0-1"
 
 
+def test_shared_and_signed_zero_created_times(tmp_path):
+    # Interests at 0.0 and at -0.0 (both accepted by the engine), and an
+    # interest at 2.5 whose data chunk shares its created time.
+    log = [record(0, kind=P.INTEREST, created=0.0, terminated=0.0625),
+           record(1, kind=P.INTEREST, created=-0.0, terminated=0.0625, chunk=1),
+           record(2, kind=P.INTEREST, created=2.5, terminated=2.5625, route="1-0"),
+           record(3, created=0.0, terminated=0.625, route="1-0"),
+           record(4, created=-0.0, terminated=0.6875, route="1-0", chunk=1),
+           record(5, created=2.5, terminated=3.125),
+           record(6, created=-0.0, outcome=P.DROPPED, terminated=0.75, route="1-0", chunk=1)]
+    _, packets_path, _ = M.write_csv(tiny_topology(), M.LoadLog(), log, summary_fixture(), tmp_path)
+    assert packets_path.read_text() == (
+        M.PACKETS_HEADER + "\n"
+        "7-single,0,interest,0,0,0,1,0.000000,0.062500,Delivered,0-1\n"
+        "7-single,1,interest,0,1,0,1,-0.000000,0.062500,Delivered,0-1\n"
+        "7-single,2,interest,0,0,1,0,2.500000,2.562500,Delivered,1-0\n"
+        "7-single,3,data,0,0,1,0,0.000000,0.625000,Delivered,1-0\n"
+        "7-single,4,data,0,1,1,0,-0.000000,0.687500,Delivered,1-0\n"
+        "7-single,5,data,0,0,0,1,2.500000,3.125000,Delivered,0-1\n"
+        "7-single,6,data,0,1,1,0,-0.000000,0.750000,Dropped,1-0\n")
+
+
 def test_unterminated_packet_has_empty_timestamp(tmp_path):
     log = [record(0, outcome=P.UNTERMINATED, terminated=None)]
     _, packets_path, _ = M.write_csv(tiny_topology(), M.LoadLog(), log, summary_fixture(), tmp_path)

@@ -23,32 +23,32 @@ def test_sizes_are_exact():
 
 
 def test_single_chunk_object():
-    packets = P.split_interest(Prefix(0, 8, (4,)), [P0, P1], P.MODE_SINGLE, 1.0, itertools.count())
+    packets = P.split_interest(Prefix(0, 8, (4,)), [P0, P1], P.MODE_SINGLE, 1.0, itertools.count(), P.Routes())
     assert len(packets) == 1
     assert packets[0].nodes == P0.nodes
 
 
 def test_multi_round_robin_over_eight_chunks():
-    packets = P.split_interest(Prefix(0, 64, (4,)), [P0, P1, P2], P.MODE_MULTI, 0.0, itertools.count())
+    packets = P.split_interest(Prefix(0, 64, (4,)), [P0, P1, P2], P.MODE_MULTI, 0.0, itertools.count(), P.Routes())
     assert [p.nodes for p in packets] == [
         P0.nodes, P1.nodes, P2.nodes, P0.nodes, P1.nodes, P2.nodes, P0.nodes, P1.nodes]
     assert [p.chunk_index for p in packets] == list(range(8))
 
 
 def test_single_mode_pins_all_chunks_to_best_path():
-    packets = P.split_interest(Prefix(0, 24, (4,)), [P0, P1, P2], P.MODE_SINGLE, 0.0, itertools.count())
+    packets = P.split_interest(Prefix(0, 24, (4,)), [P0, P1, P2], P.MODE_SINGLE, 0.0, itertools.count(), P.Routes())
     assert len(packets) == 3
     assert all(p.nodes == P0.nodes for p in packets)
 
 
 def test_multi_mode_with_one_path_degrades_to_single():
-    packets = P.split_interest(Prefix(0, 24, (4,)), [P1], P.MODE_MULTI, 0.0, itertools.count())
+    packets = P.split_interest(Prefix(0, 24, (4,)), [P1], P.MODE_MULTI, 0.0, itertools.count(), P.Routes())
     assert all(p.nodes == P1.nodes for p in packets)
 
 
 def test_packet_fields():
     ids = itertools.count(100)
-    packets = P.split_interest(Prefix(3, 16, (4,)), [P0], P.MODE_MULTI, 2.5, ids)
+    packets = P.split_interest(Prefix(3, 16, (4,)), [P0], P.MODE_MULTI, 2.5, ids, P.Routes())
     assert [p.packet_id for p in packets] == [100, 101]
     for p in packets:
         assert p.kind == P.INTEREST
@@ -61,18 +61,18 @@ def test_packet_fields():
 
 def test_chunk_sizes_cover_object():
     prefix = Prefix(0, 56, (4,))
-    packets = P.split_interest(prefix, [P0], P.MODE_SINGLE, 0.0, itertools.count())
+    packets = P.split_interest(prefix, [P0], P.MODE_SINGLE, 0.0, itertools.count(), P.Routes())
     assert len(packets) * P.CHUNK_SIZE_MB == prefix.size_mb
 
 
 def test_empty_paths_raises():
     with pytest.raises(P.RouteUnavailableError):
-        P.split_interest(Prefix(0, 8, (4,)), [], P.MODE_SINGLE, 0.0, itertools.count())
+        P.split_interest(Prefix(0, 8, (4,)), [], P.MODE_SINGLE, 0.0, itertools.count(), P.Routes())
 
 
 def test_unknown_mode_raises():
     with pytest.raises(ValueError):
-        P.split_interest(Prefix(0, 8, (4,)), [P0], "broadcast", 0.0, itertools.count())
+        P.split_interest(Prefix(0, 8, (4,)), [P0], "broadcast", 0.0, itertools.count(), P.Routes())
 
 
 def terminal_interest(route=(3, 5, 7), chunk=2, created=1.25):
@@ -81,7 +81,7 @@ def terminal_interest(route=(3, 5, 7), chunk=2, created=1.25):
 
 
 def test_data_response_reverses_route():
-    data = P.make_data_response(terminal_interest(), itertools.count(1))
+    data = P.make_data_response(terminal_interest(), itertools.count(1), P.Routes())
     assert data.nodes == (7, 5, 3)
     assert data.kind == P.DATA
     assert data.size_bits == P.DATA_SIZE_BITS
@@ -90,24 +90,37 @@ def test_data_response_reverses_route():
 
 def test_data_response_preserves_identity_and_clock():
     interest = terminal_interest(chunk=2, created=1.25)
-    data = P.make_data_response(interest, itertools.count(1))
+    data = P.make_data_response(interest, itertools.count(1), P.Routes())
     assert data.prefix_id == interest.prefix_id
     assert data.chunk_index == 2
     assert data.created_s == 1.25
 
 
 def test_data_response_for_pair_route():
-    data = P.make_data_response(terminal_interest(route=(3, 7)), itertools.count(1))
+    data = P.make_data_response(terminal_interest(route=(3, 7)), itertools.count(1), P.Routes())
     assert data.nodes == (7, 3)
 
 
 def test_data_response_requires_terminal_interest():
     wandering = P.Packet(0, P.INTEREST, 0, 0, P.INTEREST_SIZE_BITS, (3, 5, 7), hop_index=1)
     with pytest.raises(RuntimeError):
-        P.make_data_response(wandering, itertools.count())
-    data = P.make_data_response(terminal_interest(), itertools.count(1))
+        P.make_data_response(wandering, itertools.count(), P.Routes())
+    data = P.make_data_response(terminal_interest(), itertools.count(1), P.Routes())
     with pytest.raises(RuntimeError):
-        P.make_data_response(data, itertools.count())
+        P.make_data_response(data, itertools.count(), P.Routes())
+
+
+def test_responses_on_one_route_share_its_reversed_tuple():
+    routes = P.Routes()
+    ids = itertools.count()
+    first = P.make_data_response(terminal_interest(route=(3, 5, 7)), ids, routes)
+    second = P.make_data_response(terminal_interest(route=tuple([3, 5, 7])), ids, routes)
+    assert first.nodes == (7, 5, 3)
+    assert second.nodes is first.nodes
+    # Interests on equal paths of different tables share the stored route too.
+    chunks = [P.split_interest(Prefix(0, 8, (7,)), [path(3, 5, 7)], P.MODE_SINGLE, 0.0, ids, routes)[0]
+              for _ in range(2)]
+    assert chunks[0].nodes is chunks[1].nodes is next(iter(routes))
 
 
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=8, unique=True))
