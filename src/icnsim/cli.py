@@ -131,18 +131,19 @@ def build_inputs(config):
     return topology, generate_scenario(config, topology, rng_scenario)
 
 
-def _execute(config):
-    topology, scenario = build_inputs(config)
+def _execute(config, topology, scenario):
     load_log, packet_log = engine.run(config, topology, scenario)
     summary = metrics.summarize(load_log, packet_log, config.warmup_s, config.cooldown_start_s,
                                 run_id=f"{config.seed}-{config.mode}", mode=config.mode,
                                 interest_count=config.interests, seed=config.seed)
-    return topology, load_log, packet_log, summary
+    return load_log, packet_log, summary
 
 
 def run_single(config):
     """One run; writes loads.csv, packets.csv, summary.csv, histogram.csv."""
-    topology, load_log, packet_log, summary = _execute(config)
+    topology, scenario = build_inputs(config)
+    load_log, packet_log, summary = _execute(config, topology, scenario)
+    del scenario  # Not needed for the files, so not held while they are written.
     paths = metrics.write_csv(topology, load_log, packet_log, summary, config.out_dir)
     bins = metrics.histogram(metrics.delivery_times(packet_log), config.histogram_bin_s)
     paths.append(metrics.write_histogram(bins, Path(config.out_dir) / "histogram.csv"))
@@ -152,16 +153,18 @@ def run_single(config):
 def run_batch(config, runs: int):
     """Paired single/multi runs on seeds seed..seed+runs-1; writes batch.csv.
 
-    Both modes of a pair share the same topology and interest schedule, so
-    mode is the only varied factor. Each mode uses its default k.
+    Both modes of a pair run on one topology and interest schedule, built
+    once per seed, so mode is the only varied factor; a run mutates neither.
+    Each mode uses its default k.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     summaries = []
     for offset in range(runs):
+        seed_config = replace(config, seed=config.seed + offset, mode=protocol.MODE_SINGLE, k=None)
+        inputs = build_inputs(seed_config)
         for mode in (protocol.MODE_SINGLE, protocol.MODE_MULTI):
-            cfg = replace(config, seed=config.seed + offset, mode=mode, k=None)
-            summaries.append(_execute(cfg)[3])
+            summaries.append(_execute(replace(seed_config, mode=mode, k=None), *inputs)[2])
     return summaries, metrics.write_batch(summaries, Path(config.out_dir) / "batch.csv")
 
 

@@ -13,14 +13,20 @@ the window are measured; every other channel logs exactly 0.0, which is what
 its busy time over the window would give. A channel keeps only the
 transmissions that end after the latest window's start, which never moves
 back; the oldest kept one stores the busy total before it, so loads equal a
-whole-run history's to the bit. Fresh tables are built at the first lookup
-after an update, from the loads logged at that update: the cost view, a tuple
-of costs indexed by channel id, starts from every channel's idle cost,
-computed once per run, and overwrites only the measured channels. An update
-with no interest before the next one builds nothing. The path searches' lower
-bounds are computed once per run too, one reverse Dijkstra per prefix at its
-first lookup, under the idle costs: no load is negative and a channel's cost
-never falls as its load rises, so every view is at least the idle view.
+whole-run history's to the bit. A sample clips its window bounds and its
+load with plain comparisons, not the builtins ``min`` and ``max``, whose
+calls cost more than the arithmetic. For floats that are neither NaN nor a
+negative zero, as no time or load is, a comparison gives the float the
+builtin would, ties included, so loads are the same either way.
+
+Fresh tables are built at the first lookup after an update, from the loads
+logged at that update: the cost view, a tuple of costs indexed by channel id,
+starts from every channel's idle cost, computed once per run, and overwrites
+only the measured channels. An update with no interest before the next one
+builds nothing. The path searches' lower bounds are computed once per run
+too, one reverse Dijkstra per prefix at its first lookup, under the idle
+costs: no load is negative and a channel's cost never falls as its load
+rises, so every view is at least the idle view.
 
 Events are plain ``(time, seq, kind, payload)`` tuples handled in (time, seq)
 order, where ``seq`` is the scheduling order. With no propagation delay every
@@ -141,11 +147,22 @@ class ChannelState:
         self._total_busy += end - start
 
     def busy_seconds(self, lo, hi):
-        """Busy seconds in [lo, hi], given sent[0] ends after lo and sent[-1] starts by hi."""
+        """Busy seconds in [lo, hi], given sent[0] ends after lo and sent[-1] starts by hi.
+
+        Each bound clips a transmission with plain comparisons, not the
+        builtins ``max(0.0, min(hi, end) - start)``: a builtin call costs far
+        more than the arithmetic. The floats are the same, ties included:
+        at ``end == hi`` both keep the equal value, and ``end - start > 0.0``
+        exactly when ``end > start``. No operand is NaN or a negative zero.
+        """
         start, end, before = self.sent[-1]
-        busy_to_hi = before + max(0.0, min(hi, end) - start)
+        if end > hi:
+            end = hi
+        busy_to_hi = before + (end - start if end > start else 0.0)
         start, end, before = self.sent[0]
-        return busy_to_hi - (before + max(0.0, min(lo, end) - start))
+        if end > lo:
+            end = lo
+        return busy_to_hi - (before + (end - start if end > start else 0.0))
 
 
 class Simulation:
@@ -239,8 +256,14 @@ class Simulation:
                 del active[channel_id]
             else:
                 cap = state.channel.capacity_mbps
-                # Busy time summed from interval arithmetic can round past the window.
-                load = loads[channel_id] = min(cap, cap * state.busy_seconds(lo, now) / window)
+                load = cap * state.busy_seconds(lo, now) / window
+                # Busy time summed from interval arithmetic can round past the
+                # window. A load equal to the capacity becomes the capacity's
+                # own float, so the samples of a saturated channel share one
+                # object instead of each holding a copy.
+                if load >= cap:
+                    load = cap
+                loads[channel_id] = load
                 measured.append((channel_id, load))
         self.load_log.append(now, loads)
         # The tables wait for the first lookup; many updates see none.

@@ -46,7 +46,8 @@ def counted_runs():
     runs = {}
     for count, mode in zip(INTEREST_COUNTS, ("single", "multi", "single", "multi")):
         config = SimulationConfig(seed=1, interests=count, mode=mode)
-        topology, load_log, packet_log, _ = cli._execute(config)
+        topology, scenario = cli.build_inputs(config)
+        load_log, packet_log, _ = cli._execute(config, topology, scenario)
         runs[count] = (topology, load_log, packet_log)
     return runs
 

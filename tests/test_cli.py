@@ -233,6 +233,38 @@ def test_batch_rejects_mode_and_k(tmp_path, capsys, source, key, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_batch_builds_inputs_once_per_seed(tmp_path, monkeypatch):
+    # Both modes of a seed run on the same topology and schedule objects.
+    built = []
+    original = cli.build_inputs
+
+    def counting(config):
+        built.append(original(config))
+        return built[-1]
+
+    used = []
+    original_run = cli.engine.run
+
+    def recording(config, topology, scenario):
+        used.append((config.mode, topology, scenario))
+        return original_run(config, topology, scenario)
+
+    monkeypatch.setattr(cli, "build_inputs", counting)
+    monkeypatch.setattr(cli.engine, "run", recording)
+    cli.run_batch(small_config(tmp_path), 2)
+    assert len(built) == 2
+    assert [mode for mode, _, _ in used] == ["single", "multi"] * 2
+    for (topo, scenario), single, multi in zip(built, used[::2], used[1::2]):
+        assert single[1] is topo and multi[1] is topo
+        assert single[2] is scenario and multi[2] is scenario
+
+
+def test_run_batch_ignores_mode_and_k(tmp_path):
+    _, default = cli.run_batch(small_config(tmp_path / "default"), 2)
+    _, fixed = cli.run_batch(small_config(tmp_path / "fixed", mode=P.MODE_MULTI, k=7), 2)
+    assert fixed.read_bytes() == default.read_bytes()
+
+
 def test_run_batch_validates_runs(tmp_path):
     with pytest.raises(ValueError):
         cli.run_batch(small_config(tmp_path), 0)
