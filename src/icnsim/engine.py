@@ -28,13 +28,13 @@ too, one reverse Dijkstra per prefix at its first lookup, under the idle
 costs: no load is negative and a channel's cost never falls as its load
 rises, so every view is at least the idle view.
 
-Events are plain ``(time, seq, kind, payload)`` tuples handled in (time, seq)
-order, where ``seq`` is the scheduling order. With no propagation delay every
-completed transmission schedules its arrival at the current time; such events
-skip the heap and wait in a FIFO same-time lane inside ``EventQueue``. That
-keeps (time, seq) order exactly: every heap event due at the current time was
-scheduled before the clock reached it, so it pops first, and the lane is
-drained before the clock moves.
+Events are plain ``(time, seq, kind, payload)`` tuples on one heap, handled
+in (time, seq) order, where ``seq`` is the scheduling order. An arrival with
+no propagation delay is due now; if nothing else is, it would pop next, so the
+completion that sends it handles it in place, after starting the channel's
+next transmission. What the arrival schedules then still follows that
+transmission's completion, exactly as from the queue, and its unused ``seq``
+only leaves a gap in the tie-breaks.
 
 A packet's object is its log record. It joins the log when it is created, as
 ``Unterminated`` until a delivery or drop ends it, and ids come from one
@@ -81,42 +81,32 @@ class InterestEvent(NamedTuple):
 
 
 class EventQueue:
-    """Events ``(time, seq, kind, payload)`` popped in (time, seq) order.
+    """Events ``(time, seq, kind, payload)`` on one heap, popped in (time, seq) order.
 
-    ``seq`` counts schedule calls, so ties resolve in scheduling order. An
-    event at exactly the clock goes to a FIFO lane; later events go to a heap.
-    ``pop`` takes the lane only once no heap event is due at the clock, which
-    is exactly (time, seq) order: a heap event due now was scheduled before
-    the clock reached its time, so it has a smaller seq than any lane event;
-    the lane leaves in seq order; and the clock moves only once the lane is
-    empty.
+    ``seq`` counts schedule calls, so ties resolve in scheduling order.
     """
 
     def __init__(self):
         self._heap: list[tuple] = []
-        self._lane: deque[tuple] = deque()
         self._count = itertools.count()
         self.clock = 0.0
 
     def __len__(self):
-        return len(self._heap) + len(self._lane)
+        return len(self._heap)
 
     def schedule(self, time, kind, payload=None) -> None:
-        clock = self.clock
-        if time == clock:
-            self._lane.append((time, next(self._count), kind, payload))
-        elif time > clock:
-            heapq.heappush(self._heap, (time, next(self._count), kind, payload))
-        else:
+        if not time >= self.clock:
             # NaN lands here too: it is not at or after any clock.
-            raise SchedulingError(f"event kind {kind} at t={time} scheduled after clock reached {clock}")
+            raise SchedulingError(f"event kind {kind} at t={time} scheduled after clock reached {self.clock}")
+        heapq.heappush(self._heap, (time, next(self._count), kind, payload))
+
+    def idle_at_clock(self) -> bool:
+        """Whether no event is due at the clock, so an event scheduled now would pop next."""
+        heap = self._heap
+        return not heap or heap[0][0] > self.clock
 
     def pop(self) -> tuple:
-        lane = self._lane
-        heap = self._heap
-        if lane and (not heap or heap[0][0] > self.clock):
-            return lane.popleft()
-        event = heapq.heappop(heap)
+        event = heapq.heappop(self._heap)
         self.clock = event[0]
         return event
 
@@ -293,10 +283,14 @@ class Simulation:
 
     def _handle_transmit_complete(self, now, state):
         packet = state.queue.popleft()
-        # With no propagation delay this lands in the queue's same-time lane.
-        self.queue.schedule(now + self._propagation_delay_s, RECEIVE, (state.to_node, packet))
+        # An arrival due now with nothing else due would pop next: handle it here.
+        inline = not self._propagation_delay_s and self.queue.idle_at_clock()
+        if not inline:
+            self.queue.schedule(now + self._propagation_delay_s, RECEIVE, (state.to_node, packet))
         if state.queue:
             self._start_transmission(state, now)
+        if inline:
+            self._handle_receive(now, (state.to_node, packet))
 
     def _handle_receive(self, now, arrival):
         node, packet = arrival

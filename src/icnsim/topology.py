@@ -43,7 +43,8 @@ class Topology:
 
     ``adjacency[u]`` lists outgoing ``(neighbor, channel_id)`` pairs sorted by
     neighbor, ``adjacency_in[v]`` the incoming ones, so that iteration order is
-    deterministic for a given topology.
+    deterministic for a given topology. Every reader indexes by id, so ids must
+    be positions, and channel ends and anchors nodes, or ValueError is raised.
     """
 
     nodes: tuple[int, ...]
@@ -55,13 +56,20 @@ class Topology:
 
     def __post_init__(self):
         n = len(self.nodes)
+        if self.nodes != tuple(range(n)):
+            raise ValueError(f"nodes {self.nodes} must be 0, 1, ...")
         out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         by_pair: dict[tuple[int, int], Channel] = {}
-        for ch in self.channels:
+        for i, ch in enumerate(self.channels):
+            if ch.channel_id != i or not (0 <= ch.from_node < n and 0 <= ch.to_node < n):
+                raise ValueError(f"{ch} at position {i}: channel ids must be 0, 1, ... and endpoints nodes")
             out[ch.from_node].append((ch.to_node, ch.channel_id))
             inc[ch.to_node].append((ch.from_node, ch.channel_id))
             by_pair[(ch.from_node, ch.to_node)] = ch
+        for i, p in enumerate(self.prefixes):
+            if p.prefix_id != i or any(not 0 <= a < n for a in p.anchors):
+                raise ValueError(f"{p} at position {i}: prefix ids must be 0, 1, ... and anchors nodes")
         for rows in (out, inc):
             for row in rows:
                 row.sort()
@@ -81,7 +89,7 @@ def make_topology(node_count, edges, prefixes) -> Topology:
 
     Each edge becomes a pair of directed channels with equal capacity; channel
     ids follow edge order (edge i -> channels 2i and 2i+1). Prefix ids must
-    be their positions in ``prefixes``.
+    be their positions in ``prefixes`` (checked by ``Topology``).
     """
     if node_count < 2:
         raise ValueError("a topology needs at least 2 nodes")
@@ -90,8 +98,6 @@ def make_topology(node_count, edges, prefixes) -> Topology:
     for i, (u, v, capacity) in enumerate(edges):
         if u == v:
             raise ValueError(f"self-loop at node {u}")
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise ValueError(f"edge ({u},{v}) outside node range")
         pair = (min(u, v), max(u, v))
         if pair in seen_pairs:
             raise ValueError(f"parallel edge {pair}")
@@ -100,21 +106,18 @@ def make_topology(node_count, edges, prefixes) -> Topology:
             raise ValueError(f"capacity {capacity} outside [{CAPACITY_MIN_MBPS}, {CAPACITY_MAX_MBPS}] Mbps")
         channels.append(Channel(2 * i, u, v, capacity))
         channels.append(Channel(2 * i + 1, v, u, capacity))
+    # Rejects an edge or anchor outside the node range before the checks below.
+    topology = Topology(tuple(range(node_count)), tuple(channels), tuple(prefixes))
     if not _connected(node_count, seen_pairs):
         raise ValueError("graph is not connected")
-    for i, p in enumerate(prefixes):
-        if p.prefix_id != i:
-            # The engine and routing look prefixes up by position.
-            raise ValueError(f"prefix {p.prefix_id} is at position {i}; prefix ids must be 0, 1, ...")
+    for p in prefixes:
         if not p.anchors:
             raise ValueError(f"prefix {p.prefix_id} has no anchors")
-        if any(not 0 <= a < node_count for a in p.anchors):
-            raise ValueError(f"prefix {p.prefix_id} anchored outside node range")
         if len(set(p.anchors)) == node_count:
             raise ValueError(f"prefix {p.prefix_id} is anchored at every node; no consumer could request it")
         if p.size_mb <= 0 or p.size_mb % CHUNK_SIZE_MB:
             raise ValueError(f"prefix {p.prefix_id} size {p.size_mb} MB is not a positive chunk multiple")
-    return Topology(tuple(range(node_count)), tuple(channels), tuple(prefixes))
+    return topology
 
 
 def generate_topology(node_count, edge_count, prefix_count, rng: random.Random) -> Topology:

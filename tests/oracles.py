@@ -95,16 +95,21 @@ def random_case(seed, max_nodes=8):
 
 
 class HeapQueue:
-    """Reference event queue: one heap of (time, seq, kind, payload), no lane.
+    """Reference event queue: one heap of (time, seq, kind, payload).
 
-    It has the interface of ``engine.EventQueue`` and counts its pops.
+    It has the interface of ``engine.EventQueue`` and counts its pops by
+    event kind. Its ``idle_at_clock`` always answers False, so an engine run
+    on it queues every arrival instead of handling one in place;
+    ``inlinable`` counts the queries that ``EventQueue`` would have answered
+    True.
     """
 
     def __init__(self):
         self._heap = []
         self._seq = 0
         self.clock = 0.0
-        self.pops = 0
+        self.pops = Counter()
+        self.inlinable = 0
 
     def __len__(self):
         return len(self._heap)
@@ -114,10 +119,15 @@ class HeapQueue:
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
         self._seq += 1
 
+    def idle_at_clock(self):
+        if all(time > self.clock for time, *_ in self._heap):
+            self.inlinable += 1
+        return False
+
     def pop(self):
         event = heapq.heappop(self._heap)
         self.clock = event[0]
-        self.pops += 1
+        self.pops[event[2]] += 1
         return event
 
 

@@ -91,9 +91,9 @@ def test_queue_event_at_clock_pops_after_heap_event_due_then():
     q.schedule(2.0, E.TRANSMIT_COMPLETE, "a")
     q.schedule(2.0, E.TRANSMIT_COMPLETE, "b")
     assert q.pop()[3] == "a"                   # the clock reaches 2.0; "b" is due
-    q.schedule(2.0, E.RECEIVE, "lane")         # at the clock: the same-time lane
+    q.schedule(2.0, E.RECEIVE, "now")          # at the clock, behind "b" by seq
     q.schedule(3.0, E.RECEIVE, "later")
-    assert [q.pop()[3] for _ in range(3)] == ["b", "lane", "later"]
+    assert [q.pop()[3] for _ in range(3)] == ["b", "now", "later"]
 
 
 def test_queue_end_of_run_beats_same_time_event():
@@ -103,13 +103,13 @@ def test_queue_end_of_run_beats_same_time_event():
     q.pop()
     q.schedule(4.0, E.RECEIVE)
     assert q.pop()[2] == E.END_OF_RUN
-    q.schedule(4.0, E.RECEIVE)                 # lane, behind the RECEIVE still on the heap
+    q.schedule(4.0, E.RECEIVE)                 # at the clock, behind the RECEIVE still queued
     assert [q.pop()[1:3] for _ in range(2)] == [(2, E.RECEIVE), (3, E.RECEIVE)]
 
 
-def test_queue_len_counts_lane_and_heap():
+def test_queue_len_counts_events_due_now_and_later():
     q = E.EventQueue()
-    q.schedule(0.0, E.PATH_UPDATE)             # the clock starts at 0: lane
+    q.schedule(0.0, E.PATH_UPDATE)             # the clock starts at 0: due now
     q.schedule(1.0, E.PATH_UPDATE)
     q.schedule(2.0, E.PATH_UPDATE)
     assert len(q) == 3
@@ -123,18 +123,39 @@ def test_queue_len_counts_lane_and_heap():
     assert q.clock == 2.0
 
 
+def test_queue_idle_at_clock_only_when_nothing_is_due_now():
+    q = E.EventQueue()
+    assert q.idle_at_clock()
+    q.schedule(0.0, E.PATH_UPDATE)
+    assert not q.idle_at_clock()
+    q.schedule(1.0, E.PATH_UPDATE)
+    q.pop()
+    assert q.idle_at_clock()
+    q.pop()
+    q.schedule(1.0, E.RECEIVE)
+    q.schedule(1.5, E.RECEIVE)
+    assert not q.idle_at_clock()
+    q.pop()
+    assert q.clock == 1.0 and q.idle_at_clock()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.lists(st.sampled_from([0.0, 0.0, 1e-9, 1.0]),
                                                       max_size=3)), max_size=40))
 def test_queue_pops_in_heap_reference_order(steps):
     # Each step pops one event (if any) and then schedules 0-3 events at
-    # clock + d. Both queues must pop identical (time, seq, kind, payload).
+    # clock + d. Both queues must pop identical (time, seq, kind, payload),
+    # and the queue is idle at the clock exactly when the reference counts
+    # an inlinable query.
     q, ref = E.EventQueue(), HeapQueue()
     for kind, delays in steps:
         if len(q):
             assert len(ref)
             assert q.pop() == ref.pop()
             assert q.clock == ref.clock
+        inlinable = ref.inlinable
+        assert not ref.idle_at_clock()
+        assert q.idle_at_clock() == (ref.inlinable > inlinable)
         for i, d in enumerate(delays):
             q.schedule(q.clock + d, kind, i)
             ref.schedule(ref.clock + d, kind, i)
@@ -200,6 +221,36 @@ def test_two_node_delivery_timeline():
 
     # Window arithmetic: both 8 MB chunks (2 x 64e6 bits) finished within the
     # second before the t=10.2 sample on the return channel.
+    at_10_2 = {s.channel_id: s.load_mbps for s in load_log if s.time_s == 10.2}
+    assert at_10_2[topo.channel(0, 1).channel_id] == pytest.approx(1.6, rel=1e-9)
+    assert at_10_2[topo.channel(1, 0).channel_id] == pytest.approx(128.0, rel=1e-9)
+
+
+def test_two_node_delivery_timeline_with_propagation_delay():
+    # The same request with a 0.01 s propagation delay: each hop ends its
+    # serialization plus the delay after it starts, and a queued chunk starts
+    # when the one ahead of it finishes serializing, not when it arrives.
+    delay = 0.01
+    interest_s = 800_000 / 1_024_000_000
+    data_s = 64_000_000 / 1_024_000_000
+    topo = two_node_topology()
+    load_log, records = E.run(short_config(propagation_delay_s=delay), topo,
+                              [E.InterestEvent(10.0, 0, 0)])
+
+    interests = [r for r in records if r.kind == P.INTEREST]
+    data = [r for r in records if r.kind == P.DATA]
+    assert [r.outcome for r in records] == [P.DELIVERED] * 4
+    assert [r.terminated_s for r in interests] == pytest.approx(
+        [10.0 + interest_s + delay, 10.0 + 2 * interest_s + delay], rel=1e-12)
+    # The first data chunk leaves when the first interest arrives; the second
+    # waits behind it on the return channel.
+    assert [r.terminated_s for r in data] == pytest.approx(
+        [10.0 + interest_s + delay + data_s + delay,
+         10.0 + interest_s + delay + 2 * data_s + delay], rel=1e-12)
+    assert [r.created_s for r in data] == [10.0, 10.0]
+
+    # Both data chunks serialize within [10.0, 10.2], the window before the
+    # t=10.2 sample, so the loads equal the zero-delay run's.
     at_10_2 = {s.channel_id: s.load_mbps for s in load_log if s.time_s == 10.2}
     assert at_10_2[topo.channel(0, 1).channel_id] == pytest.approx(1.6, rel=1e-9)
     assert at_10_2[topo.channel(1, 0).channel_id] == pytest.approx(128.0, rel=1e-9)
@@ -542,6 +593,78 @@ def test_same_instant_arrivals_at_buffer_1_channel():
     assert packets[2].terminated_s == 1.1 + hop
 
 
+def heap_reference_run(cfg, topo, interests):
+    """The run on ``HeapQueue``, which queues every arrival: (queue, (load_log, packets))."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(E, "EventQueue", HeapQueue)
+        sim = E.Simulation(cfg, topo, interests)
+        logs = sim.run()
+    if not cfg.propagation_delay_s:
+        # Every completed transmission's arrival was queued and popped, so
+        # the engine handles an arrival in place only when its queue says so.
+        assert sim.queue.pops[E.RECEIVE] == sim.queue.pops[E.TRANSMIT_COMPLETE]
+    return sim.queue, logs
+
+
+def test_arrivals_in_place_keep_order_on_a_tied_path():
+    # Path 0-1-2 at one capacity, so completions and arrivals tie. An arrival
+    # handled before the channel's next transmission starts would order what
+    # it schedules ahead of that transmission's completion. Here, at t=1.0,
+    # the interest for prefix 1 (anchored at 2) would then reach its anchor
+    # ahead of the one for prefix 2 (anchored at 1), which left node 0 after
+    # it: their data packets would be created, and numbered, the other way.
+    topo = make_topology(3, [(0, 1, 1024.0), (1, 2, 1024.0)],
+                         [Prefix(0, 8, (2,)), Prefix(1, 8, (2,)), Prefix(2, 8, (1,))])
+    interests = [E.InterestEvent(t, 0, prefix_id)
+                 for t, prefix_id in ((0.5, 2), (0.5, 2), (1.0, 1), (1.0, 2), (2.0, 0))]
+    cfg = short_config(mode=P.MODE_MULTI, buffer_packets=2, horizon_s=10.0)
+    reference_queue, reference = heap_reference_run(cfg, topo, interests)
+    assert reference_queue.inlinable > 0
+    assert E.run(cfg, topo, interests) == reference
+
+
+@st.composite
+def tied_runs(draw):
+    """Small topologies at one capacity, with interests on a coarse time grid.
+
+    Half are lines where node 0 requests prefixes anchored at every other
+    node, so its interests to different anchors share their first hops.
+    """
+    n = draw(st.integers(3, 5))
+    line = draw(st.booleans())
+    if line:
+        edges = [(v - 1, v) for v in range(1, n)]
+        anchors = range(1, n)
+    else:
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        edges |= draw(st.sets(st.sampled_from([(u, v) for u in range(n) for v in range(u + 1, n)]),
+                              max_size=2))
+        anchors = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    capacity = draw(st.sampled_from([512.0, 1024.0, 2048.0]))
+    prefixes = [Prefix(i, draw(st.sampled_from([8, 8, 16])), (anchor,))
+                for i, anchor in enumerate(anchors)]
+    topo = make_topology(n, [(u, v, capacity) for u, v in sorted(edges)], prefixes)
+    consumers = st.just(0) if line else st.integers(0, n - 1)
+    requests = draw(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0]), consumers,
+                                       st.integers(0, len(prefixes) - 1)), min_size=1, max_size=10))
+    interests = [E.InterestEvent(*request) for request in requests
+                 if request[1] not in prefixes[request[2]].anchors]
+    cfg = short_config(mode=draw(st.sampled_from([P.MODE_SINGLE, P.MODE_MULTI])),
+                       buffer_packets=draw(st.integers(1, 3)),
+                       propagation_delay_s=draw(st.sampled_from([0.0, 0.0, 0.5])),
+                       horizon_s=draw(st.sampled_from([1.2, 5.0])))
+    return cfg, topo, interests
+
+
+@settings(max_examples=500, deadline=None)
+@given(tied_runs())
+def test_arrivals_in_place_equal_queued_arrivals_on_tied_inputs(case):
+    # A run that handles arrivals in place equals one that queues them all.
+    cfg, topo, interests = case
+    _, reference = heap_reference_run(cfg, topo, interests)
+    assert E.run(cfg, topo, interests) == reference
+
+
 @pytest.fixture(scope="module")
 def traced_mesh():
     # perfbench/spans.py wraps icnsim callables by name, counts events by
@@ -576,15 +699,20 @@ def test_tracer_pins_see_every_event_and_response(traced_mesh, monkeypatch):
     # fail here; a traced benchmark run would otherwise show it only as
     # wrong counts.
     cfg, topo, scenario, history, logs, tracer, _ = traced_mesh
-    # The same run with a heap-only queue handles the same events in the same order.
+    # The same run on a queue that never lets an arrival be handled in place
+    # gives the same logs and pops every event.
     monkeypatch.setattr(E, "EventQueue", HeapQueue)
     reference = E.Simulation(cfg, topo, scenario)
     assert reference.run() == logs
-    assert tracer.events == reference.queue.pops
     # END_OF_RUN, path updates, interests, and a completion plus an arrival per
     # transmission that ended before the horizon.
     finished = sum(end < cfg.horizon_s for sent in history.values() for _, end in sent)
-    assert tracer.events == 1 + len(logs[0].times) + len(scenario) + 2 * finished
+    pops = reference.queue.pops
+    assert pops == {E.END_OF_RUN: 1, E.PATH_UPDATE: len(logs[0].times), E.INIT_INTEREST: len(scenario),
+                    E.TRANSMIT_COMPLETE: finished, E.RECEIVE: finished}
+    # The traced run popped every event but the arrivals it handled in place.
+    assert reference.queue.inlinable > 0
+    assert tracer.events == sum(pops.values()) - reference.queue.inlinable
     data = sum(p.kind == P.DATA for p in logs[1])
     responses = tracer.span_name.count(tracer.names.index("protocol.make_data_response"))
     assert data > 0 and responses == data

@@ -126,3 +126,29 @@ def test_make_topology_rejects_bad_input():
     # generator would draw consumers forever.
     with pytest.raises(ValueError, match="no consumer"):
         T.make_topology(2, [(0, 1, 600.0)], [T.Prefix(0, 8, (0, 1))])
+
+
+def test_topology_rejects_ids_that_are_not_positions():
+    # Every reader indexes channels, prefixes and nodes by id: with permuted
+    # channel ids a cost view would price channel 0->1 by another channel's
+    # load, and loads.csv would label rows with other channels' endpoints. A
+    # prefix anchored at -1 would make every interest for it unroutable.
+    line = [T.Channel(0, 0, 1, 600.0), T.Channel(1, 1, 0, 600.0), T.Channel(2, 1, 2, 500.0),
+            T.Channel(3, 2, 1, 500.0)]
+    prefixes = (T.Prefix(0, 8, (2,)), T.Prefix(1, 8, (0,)))
+    assert T.Topology((0, 1, 2), tuple(line), prefixes).channel(1, 2).channel_id == 2
+    permuted = [T.Channel(2, 0, 1, 600.0), T.Channel(1, 1, 0, 600.0), T.Channel(0, 1, 2, 500.0),
+                T.Channel(3, 2, 1, 500.0)]
+    with pytest.raises(ValueError, match="channel ids must be 0, 1"):
+        T.Topology((0, 1, 2), tuple(permuted), prefixes)
+    with pytest.raises(ValueError, match="prefix ids must be 0, 1"):
+        T.Topology((0, 1, 2), tuple(line), prefixes[::-1])
+    negative = line[:3] + [T.Channel(3, -1, 1, 500.0)]
+    with pytest.raises(ValueError, match="endpoints nodes"):
+        T.Topology((0, 1, 2), tuple(negative), prefixes)
+    with pytest.raises(ValueError, match="endpoints nodes"):
+        T.make_topology(3, [(0, 1, 600.0), (1, 3, 600.0)], [T.Prefix(0, 8, (2,))])
+    with pytest.raises(ValueError, match="anchors nodes"):
+        T.Topology((0, 1, 2), tuple(line), (T.Prefix(0, 8, (-1,)),))
+    with pytest.raises(ValueError, match="nodes"):
+        T.Topology((1, 2, 3), (), prefixes)
