@@ -39,7 +39,7 @@ def _build_parser():
     p.add_argument("--interests", type=int, help="number of interest events (default 1000)")
     p.add_argument("--mode", choices=(protocol.MODE_SINGLE, protocol.MODE_MULTI),
                    help="routing mode (default single)")
-    p.add_argument("--k", type=int, help="paths per prefix (default: 3 multi, 1 single)")
+    p.add_argument("--k", type=int, help="paths per prefix (default: 3 multi; single takes 1 only)")
     p.add_argument("--runs", type=int, help="run a paired single/multi batch over this many seeds")
     p.add_argument("--out", dest="out_dir", help="output directory (default ./out)")
     p.add_argument("--config", dest="config_file", help="key=value config file; flags override it")
@@ -81,16 +81,17 @@ def _merge(namespace, parser):
         elif key in file_values:
             kwargs[key] = file_values[key]
     runs = namespace.runs if namespace.runs is not None else file_values.get("runs")
+    # Checked first: a batch ignores both, so a k that its mode rejects is not the error.
+    fixed = [key for key in ("mode", "k") if key in kwargs]
+    if runs is not None and fixed:
+        parser.error(f"{' and '.join(fixed)} cannot be set for a batch, which runs both modes "
+                     "with their default k")
     try:
         config = SimulationConfig(**kwargs).validate()
     except ValueError as exc:
         parser.error(str(exc))
     if runs is not None and runs < 1:
         parser.error(f"runs must be at least 1, got {runs}")
-    fixed = [key for key in ("mode", "k") if key in kwargs]
-    if runs is not None and fixed:
-        parser.error(f"{' and '.join(fixed)} cannot be set for a batch, which runs both modes "
-                     "with their default k")
     return config, runs
 
 

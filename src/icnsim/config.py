@@ -17,7 +17,8 @@ class SimulationConfig:
     Scenario settings, read by ``cli.build_inputs``: seed, nodes, edges,
     prefixes, interests, interest_window_s. Output settings, read by the
     summary and the output files: warmup_s, cooldown_start_s, histogram_bin_s,
-    out_dir. ``k`` left unset resolves to 3 in multi mode and 1 in single mode.
+    out_dir. ``k`` left unset resolves to 3 in multi mode and 1 in single mode,
+    which uses one path and so takes no other k.
     """
 
     seed: int = 0
@@ -57,6 +58,8 @@ class SimulationConfig:
             raise ValueError(f"mode must be single or multi, got {self.mode!r}")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
+        if self.mode == MODE_SINGLE and self.k != 1:
+            raise ValueError(f"k must be 1 in single mode, got {self.k}")
         if self.horizon_s <= 0:
             raise ValueError(f"horizon_s must be positive, got {self.horizon_s}")
         if self.path_updates_per_s <= 0:

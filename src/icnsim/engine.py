@@ -116,12 +116,13 @@ class ChannelState:
 
     The queue head is the packet on the wire. ``sent`` holds ``(start, end,
     busy seconds before start)`` per transmission that a later load window
-    can still read, oldest first; path updates prune it from the left. The
-    channel's id, far end and rate in bit/s are copied out of it for the
-    per-hop handlers.
+    can still read, oldest first; path updates prune it from the left.
+    ``busy_total`` sums every transmission's busy seconds so far, a left fold
+    in transmission order. The channel's id, far end and rate in bit/s are
+    copied out of it for the per-hop handlers.
     """
 
-    __slots__ = ("channel", "channel_id", "to_node", "rate_bps", "queue", "sent", "_total_busy")
+    __slots__ = ("channel", "channel_id", "to_node", "rate_bps", "queue", "sent", "busy_total")
 
     def __init__(self, channel):
         self.channel = channel
@@ -130,11 +131,7 @@ class ChannelState:
         self.rate_bps = channel.capacity_mbps * 1e6
         self.queue: deque[protocol.Packet] = deque()
         self.sent: deque[tuple[float, float, float]] = deque()
-        self._total_busy = 0.0
-
-    def record_transmission(self, start, end):
-        self.sent.append((start, end, self._total_busy))
-        self._total_busy += end - start
+        self.busy_total = 0.0
 
     def busy_seconds(self, lo, hi):
         """Busy seconds in [lo, hi], given sent[0] ends after lo and sent[-1] starts by hi.
@@ -330,7 +327,8 @@ class Simulation:
 
     def _start_transmission(self, state, now):
         end = now + state.queue[0].size_bits / state.rate_bps
-        state.record_transmission(now, end)
+        state.sent.append((now, end, state.busy_total))
+        state.busy_total += end - now
         self._active[state.channel_id] = state
         self.queue.schedule(end, TRANSMIT_COMPLETE, state)
 

@@ -44,7 +44,9 @@ class Topology:
     ``adjacency[u]`` lists outgoing ``(neighbor, channel_id)`` pairs sorted by
     neighbor, ``adjacency_in[v]`` the incoming ones, so that iteration order is
     deterministic for a given topology. Every reader indexes by id, so ids must
-    be positions, and channel ends and anchors nodes, or ValueError is raised.
+    be positions, and channel ends and anchors nodes. A hop names its channel
+    by its two ends, so a channel needs two distinct ends, and an ordered pair
+    of nodes at most one channel. ValueError is raised otherwise.
     """
 
     nodes: tuple[int, ...]
@@ -64,6 +66,10 @@ class Topology:
         for i, ch in enumerate(self.channels):
             if ch.channel_id != i or not (0 <= ch.from_node < n and 0 <= ch.to_node < n):
                 raise ValueError(f"{ch} at position {i}: channel ids must be 0, 1, ... and endpoints nodes")
+            if ch.from_node == ch.to_node:
+                raise ValueError(f"{ch}: a channel needs two distinct ends")
+            if (ch.from_node, ch.to_node) in by_pair:
+                raise ValueError(f"{ch}: a second channel {ch.from_node}->{ch.to_node}")
             out[ch.from_node].append((ch.to_node, ch.channel_id))
             inc[ch.to_node].append((ch.from_node, ch.channel_id))
             by_pair[(ch.from_node, ch.to_node)] = ch
@@ -89,26 +95,20 @@ def make_topology(node_count, edges, prefixes) -> Topology:
 
     Each edge becomes a pair of directed channels with equal capacity; channel
     ids follow edge order (edge i -> channels 2i and 2i+1). Prefix ids must
-    be their positions in ``prefixes`` (checked by ``Topology``).
+    be their positions in ``prefixes``, and a self-loop or a second edge
+    between two nodes is rejected (both checked by ``Topology``).
     """
     if node_count < 2:
         raise ValueError("a topology needs at least 2 nodes")
-    seen_pairs = set()
     channels = []
     for i, (u, v, capacity) in enumerate(edges):
-        if u == v:
-            raise ValueError(f"self-loop at node {u}")
-        pair = (min(u, v), max(u, v))
-        if pair in seen_pairs:
-            raise ValueError(f"parallel edge {pair}")
-        seen_pairs.add(pair)
         if not CAPACITY_MIN_MBPS <= capacity <= CAPACITY_MAX_MBPS:
             raise ValueError(f"capacity {capacity} outside [{CAPACITY_MIN_MBPS}, {CAPACITY_MAX_MBPS}] Mbps")
         channels.append(Channel(2 * i, u, v, capacity))
         channels.append(Channel(2 * i + 1, v, u, capacity))
-    # Rejects an edge or anchor outside the node range before the checks below.
+    # Rejects a bad edge or anchor before the checks below.
     topology = Topology(tuple(range(node_count)), tuple(channels), tuple(prefixes))
-    if not _connected(node_count, seen_pairs):
+    if not _connected(topology):
         raise ValueError("graph is not connected")
     for p in prefixes:
         if not p.anchors:
@@ -178,17 +178,14 @@ def _random_tree_edges(n, rng):
     return edges
 
 
-def _connected(n, pairs):
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for a, b in pairs:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
+def _connected(topology):
+    # Every link has a channel each way, so reaching every node from node 0
+    # along outgoing channels means the graph is connected.
     seen = {0}
     stack = [0]
     while stack:
-        u = stack.pop()
-        for v in neighbors[u]:
+        for v, _ in topology.adjacency[stack.pop()]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
-    return len(seen) == n
+    return len(seen) == len(topology.nodes)

@@ -47,6 +47,14 @@ def test_k_zero_is_usage_error(capsys):
     assert "k must be at least 1" in capsys.readouterr().err
 
 
+def test_k_in_single_mode_is_usage_error(capsys):
+    # Single mode sends every chunk on the cheapest path; a deeper search is never read.
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_config(["--k", "3"])
+    assert exc.value.code == 2
+    assert "k must be 1 in single mode, got 3" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.parse_config(["--frobnicate", "1"])

@@ -1,3 +1,4 @@
+import ast
 import os
 import pkgutil
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import icnsim
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def test_no_module_imports_numpy():
@@ -21,3 +23,17 @@ def test_no_module_imports_numpy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_oracles_import_only_topology_and_protocol():
+    # The reference implementations must not share code with what they check:
+    # of icnsim they may read only the graph and the protocol constants.
+    names = set()
+    for node in ast.walk(ast.parse(ORACLES.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.update(f"icnsim.{alias.name}" if node.module == "icnsim" else node.module
+                         for alias in node.names)
+    assert {name for name in names if name.partition(".")[0] == "icnsim"} == {"icnsim.topology",
+                                                                             "icnsim.protocol"}

@@ -3,7 +3,8 @@ import itertools
 import math
 import re
 import weakref
-from collections import Counter, defaultdict
+from collections import Counter
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,35 +15,32 @@ from icnsim import protocol as P
 from icnsim.config import SimulationConfig
 from icnsim.topology import Channel, Prefix, Topology, make_topology
 
-from oracles import HeapQueue, check_conservation, history_busy_seconds
+import oracles as O
+from oracles import HeapQueue, check_conservation, history_busy_seconds, reference_run
 
 
 def two_node_topology(capacity=1024.0, size_mb=16):
     return make_topology(2, [(0, 1, capacity)], [Prefix(0, size_mb, (1,))])
 
 
-def record_transmissions(monkeypatch):
-    """Every transmission the engine records, as (start, end) pairs by channel id.
-
-    The engine keeps only what a later load window can read; this keeps all.
-    """
-    history = defaultdict(list)
-    original = E.ChannelState.record_transmission
-
-    def recording(state, start, end):
-        history[state.channel.channel_id].append((start, end))
-        original(state, start, end)
-
-    monkeypatch.setattr(E.ChannelState, "record_transmission", recording)
-    return history
+RECORD = attrgetter("packet_id", "kind", "prefix_id", "chunk_index", "nodes", "created_s",
+                    "terminated_s", "outcome")
 
 
-def full_history_loads(cfg, topo, history, times):
-    """Every channel's load at each of ``times``, measured on its whole history."""
-    window = cfg.load_window_s
-    busy = [history_busy_seconds(history[ch.channel_id]) for ch in topo.channels]
-    return [[min(ch.capacity_mbps, ch.capacity_mbps * busy_seconds(t - window, t) / window)
-             for ch, busy_seconds in zip(topo.channels, busy)] for t in times]
+def assert_equals_reference(logs, reference):
+    """The engine's logs equal the reference run's exactly: every load and every packet record."""
+    load_log, packets = logs
+    assert load_log.times == reference.times
+    assert load_log.rows == reference.rows
+    assert list(map(RECORD, packets)) == list(map(RECORD, reference.packets))
+
+
+def run_with_reference(cfg, topo, interests):
+    """The engine's logs and the reference run on the same inputs, checked equal."""
+    reference = reference_run(cfg, topo, interests)
+    logs = E.run(cfg, topo, interests)
+    assert_equals_reference(logs, reference)
+    return logs, reference
 
 
 def short_config(**overrides):
@@ -145,17 +143,14 @@ def test_queue_idle_at_clock_only_when_nothing_is_due_now():
 def test_queue_pops_in_heap_reference_order(steps):
     # Each step pops one event (if any) and then schedules 0-3 events at
     # clock + d. Both queues must pop identical (time, seq, kind, payload),
-    # and the queue is idle at the clock exactly when the reference counts
-    # an inlinable query.
+    # and be idle at the clock together.
     q, ref = E.EventQueue(), HeapQueue()
     for kind, delays in steps:
         if len(q):
             assert len(ref)
             assert q.pop() == ref.pop()
             assert q.clock == ref.clock
-        inlinable = ref.inlinable
-        assert not ref.idle_at_clock()
-        assert q.idle_at_clock() == (ref.inlinable > inlinable)
+        assert q.idle_at_clock() == ref.idle_at_clock()
         for i, d in enumerate(delays):
             q.schedule(q.clock + d, kind, i)
             ref.schedule(ref.clock + d, kind, i)
@@ -182,12 +177,11 @@ def test_interest_serialization_delay_at_512():
     assert end - start == 0.0015625
 
 
-def test_back_to_back_completions_are_evenly_spaced(monkeypatch):
+def test_back_to_back_completions_are_evenly_spaced():
     # 24 MB object -> 3 interest chunks serialized back to back at 512 Mbps.
     topo = two_node_topology(capacity=512.0, size_mb=24)
-    history = record_transmissions(monkeypatch)
-    E.run(short_config(), topo, [E.InterestEvent(1.0, 0, 0)])
-    ends = [end for _, end in history[topo.channel(0, 1).channel_id]]
+    _, reference = run_with_reference(short_config(), topo, [E.InterestEvent(1.0, 0, 0)])
+    ends = [end for _, end in reference.history[topo.channel(0, 1).channel_id]]
     assert len(ends) == 3
     gaps = [b - a for a, b in zip(ends, ends[1:])]
     assert gaps == pytest.approx([0.0015625, 0.0015625], abs=1e-12)
@@ -307,7 +301,8 @@ def test_busy_seconds_equals_whole_history_measurement(case):
     state = E.ChannelState(Channel(0, 0, 1, 1024.0))
     for start, end in history:
         if start <= hi:  # Only transmissions started by the update are recorded.
-            state.record_transmission(start, end)
+            state.sent.append((start, end, state.busy_total))
+            state.busy_total += end - start
     sent = state.sent
     while sent and sent[0][1] <= lo:
         sent.popleft()
@@ -319,16 +314,15 @@ def test_busy_seconds_equals_whole_history_measurement(case):
         assert expected == 0.0
 
 
-def test_channel_busy_across_a_whole_window_logs_exactly_capacity(monkeypatch):
+def test_channel_busy_across_a_whole_window_logs_exactly_capacity():
     # One interest for 32 chunks keeps the 700 Mbps return channel busy back
     # to back for about 2.9 s, 64/700 s per chunk. Summed, the busy time of a
     # window inside that span can round past the window itself.
     topo = two_node_topology(capacity=700.0, size_mb=256)
-    history = record_transmissions(monkeypatch)
     cfg = short_config()
-    load_log, _ = E.run(cfg, topo, [E.InterestEvent(0.1, 0, 0)])
+    (load_log, _), reference = run_with_reference(cfg, topo, [E.InterestEvent(0.1, 0, 0)])
     channel_id = topo.channel(1, 0).channel_id
-    sent = history[channel_id]
+    sent = reference.history[channel_id]
     assert len(sent) == 32
     assert all(end == start for (_, end), (start, _) in zip(sent, sent[1:]))
     window = cfg.load_window_s
@@ -478,6 +472,7 @@ def test_run_ignores_settings_it_does_not_read(overrides):
 BAD_RUN_SETTINGS = [
     ("mode", "x", "mode must be single or multi, got 'x'"),
     ("k", 0, "k must be at least 1, got 0"),
+    ("k", 3, "k must be 1 in single mode, got 3"),
     ("horizon_s", 0.0, "horizon_s must be positive, got 0.0"),
     ("path_updates_per_s", 0.0, "path_updates_per_s must be positive, got 0.0"),
     ("load_window_s", 0.0, "load_window_s must be positive, got 0.0"),
@@ -593,19 +588,6 @@ def test_same_instant_arrivals_at_buffer_1_channel():
     assert packets[2].terminated_s == 1.1 + hop
 
 
-def heap_reference_run(cfg, topo, interests):
-    """The run on ``HeapQueue``, which queues every arrival: (queue, (load_log, packets))."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(E, "EventQueue", HeapQueue)
-        sim = E.Simulation(cfg, topo, interests)
-        logs = sim.run()
-    if not cfg.propagation_delay_s:
-        # Every completed transmission's arrival was queued and popped, so
-        # the engine handles an arrival in place only when its queue says so.
-        assert sim.queue.pops[E.RECEIVE] == sim.queue.pops[E.TRANSMIT_COMPLETE]
-    return sim.queue, logs
-
-
 def test_arrivals_in_place_keep_order_on_a_tied_path():
     # Path 0-1-2 at one capacity, so completions and arrivals tie. An arrival
     # handled before the channel's next transmission starts would order what
@@ -618,9 +600,8 @@ def test_arrivals_in_place_keep_order_on_a_tied_path():
     interests = [E.InterestEvent(t, 0, prefix_id)
                  for t, prefix_id in ((0.5, 2), (0.5, 2), (1.0, 1), (1.0, 2), (2.0, 0))]
     cfg = short_config(mode=P.MODE_MULTI, buffer_packets=2, horizon_s=10.0)
-    reference_queue, reference = heap_reference_run(cfg, topo, interests)
-    assert reference_queue.inlinable > 0
-    assert E.run(cfg, topo, interests) == reference
+    _, reference = run_with_reference(cfg, topo, interests)
+    assert reference.inlinable > 0
 
 
 @st.composite
@@ -656,15 +637,6 @@ def tied_runs(draw):
     return cfg, topo, interests
 
 
-@settings(max_examples=500, deadline=None)
-@given(tied_runs())
-def test_arrivals_in_place_equal_queued_arrivals_on_tied_inputs(case):
-    # A run that handles arrivals in place equals one that queues them all.
-    cfg, topo, interests = case
-    _, reference = heap_reference_run(cfg, topo, interests)
-    assert E.run(cfg, topo, interests) == reference
-
-
 @pytest.fixture(scope="module")
 def traced_mesh():
     # perfbench/spans.py wraps icnsim callables by name, counts events by
@@ -683,36 +655,32 @@ def traced_mesh():
     cfg = mesh_config(buffer_packets=2)
     topo, scenario = build_inputs(cfg)
     tracer = spans.Tracer()
-    with pytest.MonkeyPatch.context() as mp:
-        history = record_transmissions(mp)
-        tracer.install()
-        try:
-            missing = list(tracer.missing)
-            logs = E.Simulation(cfg, topo, scenario).run()
-        finally:
-            tracer.uninstall()
-    return cfg, topo, scenario, history, logs, tracer, missing
+    tracer.install()
+    try:
+        missing = list(tracer.missing)
+        logs = E.Simulation(cfg, topo, scenario).run()
+    finally:
+        tracer.uninstall()
+    return cfg, scenario, reference_run(cfg, topo, scenario), logs, tracer, missing
 
 
-def test_tracer_pins_see_every_event_and_response(traced_mesh, monkeypatch):
+def test_tracer_pins_see_every_event_and_response(traced_mesh):
     # Inlining the pop, or binding make_data_response at import time, must
     # fail here; a traced benchmark run would otherwise show it only as
     # wrong counts.
-    cfg, topo, scenario, history, logs, tracer, _ = traced_mesh
-    # The same run on a queue that never lets an arrival be handled in place
-    # gives the same logs and pops every event.
-    monkeypatch.setattr(E, "EventQueue", HeapQueue)
-    reference = E.Simulation(cfg, topo, scenario)
-    assert reference.run() == logs
-    # END_OF_RUN, path updates, interests, and a completion plus an arrival per
-    # transmission that ended before the horizon.
-    finished = sum(end < cfg.horizon_s for sent in history.values() for _, end in sent)
-    pops = reference.queue.pops
-    assert pops == {E.END_OF_RUN: 1, E.PATH_UPDATE: len(logs[0].times), E.INIT_INTEREST: len(scenario),
-                    E.TRANSMIT_COMPLETE: finished, E.RECEIVE: finished}
+    cfg, scenario, reference, logs, tracer, _ = traced_mesh
+    # The reference run, which queues every arrival, gives the same logs and
+    # pops every event.
+    assert_equals_reference(logs, reference)
+    # The end of the run, path updates, interests, and a completion plus an
+    # arrival per transmission that ended before the horizon.
+    finished = sum(end < cfg.horizon_s for sent in reference.history for _, end in sent)
+    pops = reference.pops
+    assert pops == {O.END: 1, O.UPDATE: len(logs[0].times), O.INTEREST: len(scenario),
+                    O.COMPLETE: finished, O.ARRIVAL: finished}
     # The traced run popped every event but the arrivals it handled in place.
-    assert reference.queue.inlinable > 0
-    assert tracer.events == sum(pops.values()) - reference.queue.inlinable
+    assert reference.inlinable > 0
+    assert tracer.events == sum(pops.values()) - reference.inlinable
     data = sum(p.kind == P.DATA for p in logs[1])
     responses = tracer.span_name.count(tracer.names.index("protocol.make_data_response"))
     assert data > 0 and responses == data
@@ -721,7 +689,7 @@ def test_tracer_pins_see_every_event_and_response(traced_mesh, monkeypatch):
 def test_benchmark_tracer_installs_and_counts_lookups(traced_mesh):
     # A renamed or reshaped pin must fail here; a traced benchmark run would
     # otherwise show it only as a stderr line.
-    _, _, scenario, _, _, tracer, missing = traced_mesh
+    _, scenario, _, _, tracer, missing = traced_mesh
     assert missing == []
     assert tracer.paths_calls == len(scenario)
     assert 0 < tracer.tables_built <= len(scenario)
@@ -737,15 +705,16 @@ def test_benchmark_tracer_counts_every_load_sample(traced_mesh):
     # channel with a transmission that started before the update and ended
     # after its window's start. Inlining the sample without porting the tracer's
     # counter must fail here, not read as engine.sample_calls == 0.
-    cfg, _, _, history, logs, tracer, _ = traced_mesh
+    cfg, _, reference, logs, tracer, _ = traced_mesh
     times = logs[0].times
-    starts = {start for sent in history.values() for start, _ in sent}
+    history = reference.history
+    starts = {start for sent in history for start, _ in sent}
     # A transmission starting at an update's instant may be recorded before
     # or after that update; this run has none, so the count below is exact.
     assert starts.isdisjoint(times)
     expected = sum(
         sum(any(start < t and end > t - cfg.load_window_s for start, end in sent)
-            for sent in history.values())
+            for sent in history)
         for t in times)
     assert expected > 0
     assert tracer.sample_calls == expected
@@ -795,26 +764,31 @@ def test_identical_runs_are_identical():
     (dict(interests=0), False),
     (dict(load_window_s=0.05), False),
     (dict(load_window_s=3.0, path_updates_per_s=3.0), False),
+    # One cycle in 6 nodes: at most 2 loopless paths to each of at most 3 anchors.
+    (dict(nodes=6, edges=6, k=10), False),
 ], ids=["buffer-1", "propagation-delay", "horizon-cuts-transfers", "no-interests",
-        "window-shorter-than-update-period", "window-spans-9-inexact-updates"])
-def test_logged_loads_equal_full_window_measurement(overrides, kept_at_end, monkeypatch):
-    # Path updates measure only channels that transmitted in the window. The
-    # full transmission history gives every channel's load at every update;
-    # the logged rows must equal it exactly, idle channels included.
+        "window-shorter-than-update-period", "window-spans-9-inexact-updates",
+        "k-above-loopless-paths"])
+def test_logged_loads_equal_full_window_measurement(overrides, kept_at_end):
+    # The model's edge configurations, run by the engine and by the reference.
+    # Path updates measure only channels that transmitted in the window; the
+    # reference measures every channel on its whole transmission history, and
+    # the logged rows must equal its rows exactly, idle channels included, as
+    # must every packet record.
     from icnsim.cli import build_inputs
     cfg = mesh_config(**overrides)
     topo, scenario = build_inputs(cfg)
-    history = record_transmissions(monkeypatch)
+    reference = reference_run(cfg, topo, scenario)
     sim = E.Simulation(cfg, topo, scenario)
-    load_log, _ = sim.run()
-    assert load_log.rows == full_history_loads(cfg, topo, history, load_log.times)
+    load_log, _ = logs = sim.run()
+    assert_equals_reference(logs, reference)
     assert len(load_log) == len(load_log.times) * len(topo.channels)
     assert len(load_log.times) == int(cfg.horizon_s * cfg.path_updates_per_s)
     # Each channel keeps exactly the transmissions that end after the last
     # update's window start, so a transfer cut by the horizon is still held.
     lo = load_log.times[-1] - cfg.load_window_s
     kept = [[(start, end) for start, end, _ in state.sent] for state in sim.channels]
-    assert kept == [[tx for tx in history[ch.channel_id] if tx[1] > lo] for ch in topo.channels]
+    assert kept == [[tx for tx in sent if tx[1] > lo] for sent in reference.history]
     assert any(kept) == kept_at_end
 
 
@@ -900,14 +874,16 @@ def test_delivered_data_reverses_interest_route():
 
 
 @st.composite
-def engine_configs(draw):
-    nodes = draw(st.integers(2, 8))
+def engine_configs(draw, max_nodes=8):
+    nodes = draw(st.integers(2, max_nodes))
     horizon = draw(st.floats(1.0, 20.0))
+    mode = draw(st.sampled_from([P.MODE_SINGLE, P.MODE_MULTI]))
     return SimulationConfig(
         seed=draw(st.integers(0, 2**16)), nodes=nodes,
         edges=draw(st.integers(nodes - 1, nodes * (nodes - 1) // 2)),
         prefixes=draw(st.integers(1, 4)), interests=draw(st.integers(0, 200)),
-        mode=draw(st.sampled_from([P.MODE_SINGLE, P.MODE_MULTI])), k=draw(st.integers(1, 5)),
+        # Single mode takes k=1 only.
+        mode=mode, k=draw(st.integers(1, 5)) if mode == P.MODE_MULTI else None,
         buffer_packets=draw(st.integers(1, 4)),
         load_window_s=draw(st.sampled_from([0.05, 0.2, 1.0, 2.5])),
         path_updates_per_s=draw(st.sampled_from([1.0, 3.0, 5.0, 7.0])),
@@ -927,13 +903,25 @@ def engine_configs(draw):
 def test_engine_invariants_on_random_configs(cfg):
     from icnsim.cli import build_inputs
     topo, scenario = build_inputs(cfg)
-    with pytest.MonkeyPatch.context() as mp:
-        history = record_transmissions(mp)
-        load_log, packets = E.run(cfg, topo, scenario)
-    assert load_log.rows == full_history_loads(cfg, topo, history, load_log.times)
+    (load_log, packets), _ = run_with_reference(cfg, topo, scenario)
     check_conservation(packets)
     capacity = [ch.capacity_mbps for ch in topo.channels]
     assert all(0.0 <= s.load_mbps <= capacity[s.channel_id] for s in load_log)
     assert [p.packet_id for p in packets] == list(range(len(packets)))
     assert all((p.terminated_s is None) == (p.outcome == P.UNTERMINATED) for p in packets)
     assert E.run(cfg, topo, scenario) == (load_log, packets)
+
+
+def config_inputs(cfg):
+    from icnsim.cli import build_inputs
+    return (cfg, *build_inputs(cfg))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(engine_configs(max_nodes=6).map(config_inputs), tied_runs()))
+def test_engine_equals_reference_run(case):
+    # The differential test: every load and packet record of the engine
+    # equals the naive reference's. Random configs cover the model broadly;
+    # tied runs make completions and arrivals fall at one instant, where the
+    # order of the handlers decides drops and packet numbers.
+    run_with_reference(*case)

@@ -128,6 +128,19 @@ def test_make_topology_rejects_bad_input():
         T.make_topology(2, [(0, 1, 600.0)], [T.Prefix(0, 8, (0, 1))])
 
 
+@pytest.mark.parametrize("extra, message", [
+    (T.Channel(2, 0, 1, 2000.0), "a second channel 0->1"),
+    (T.Channel(2, 1, 1, 600.0), "two distinct ends"),
+], ids=["second-channel-on-a-pair", "self-loop"])
+def test_topology_rejects_self_loops_and_second_channels(extra, message):
+    # A hop is named by its two ends. With two channels 0->1 the path search
+    # would price the hop with one and the engine send on the other, and
+    # loads.csv would log a channel that never carries a packet.
+    pair = (T.Channel(0, 0, 1, 600.0), T.Channel(1, 1, 0, 600.0))
+    with pytest.raises(ValueError, match=message):
+        T.Topology((0, 1), pair + (extra,), ())
+
+
 def test_topology_rejects_ids_that_are_not_positions():
     # Every reader indexes channels, prefixes and nodes by id: with permuted
     # channel ids a cost view would price channel 0->1 by another channel's
