@@ -36,6 +36,19 @@ next transmission. What the arrival schedules then still follows that
 transmission's completion, exactly as from the queue, and its unused ``seq``
 only leaves a gap in the tie-breaks.
 
+Only events that can come due soon wait on the heap: the run's end, the next
+path update, the in-flight completions and arrivals, and the earliest pending
+interest. Every interest's event tuple is built up front, with the seq it
+would get if it were scheduled then, and the rest wait in a sorted list; the
+handler of one interest pushes the next. Keys are unique and the list is
+sorted, so the earliest pending interest is always on the heap and every
+other one is ordered after it: events pop in the same (time, seq) order as
+with all interests queued at the start, and ``idle_at_clock`` gives the same
+answer. The heap then holds tens of entries instead of thousands, so each
+push and pop sifts through fewer levels. A completion is pushed straight onto
+the heap with the next seq, as ``schedule`` would push it; it never falls
+before the clock, because sizes and rates are positive.
+
 A packet's object is its log record. It joins the log when it is created, as
 ``Unterminated`` until a delivery or drop ends it, and ids come from one
 counter in creation order, so the log is in packet-id order. Routes are
@@ -83,30 +96,32 @@ class InterestEvent(NamedTuple):
 class EventQueue:
     """Events ``(time, seq, kind, payload)`` on one heap, popped in (time, seq) order.
 
-    ``seq`` counts schedule calls, so ties resolve in scheduling order.
+    ``seqs`` counts the events scheduled, so ties resolve in scheduling order.
+    A caller that has checked an event is not before the clock may take its
+    seq from ``seqs`` and push it onto ``heap`` itself, as ``schedule`` would.
     """
 
     def __init__(self):
-        self._heap: list[tuple] = []
-        self._count = itertools.count()
+        self.heap: list[tuple] = []
+        self.seqs = itertools.count()
         self.clock = 0.0
 
     def __len__(self):
-        return len(self._heap)
+        return len(self.heap)
 
     def schedule(self, time, kind, payload=None) -> None:
         if not time >= self.clock:
             # NaN lands here too: it is not at or after any clock.
             raise SchedulingError(f"event kind {kind} at t={time} scheduled after clock reached {self.clock}")
-        heapq.heappush(self._heap, (time, next(self._count), kind, payload))
+        heapq.heappush(self.heap, (time, next(self.seqs), kind, payload))
 
     def idle_at_clock(self) -> bool:
         """Whether no event is due at the clock, so an event scheduled now would pop next."""
-        heap = self._heap
+        heap = self.heap
         return not heap or heap[0][0] > self.clock
 
     def pop(self) -> tuple:
-        event = heapq.heappop(self._heap)
+        event = heapq.heappop(self.heap)
         self.clock = event[0]
         return event
 
@@ -153,7 +168,13 @@ class ChannelState:
 
 
 class Simulation:
-    """One run over a fixed topology and interest schedule."""
+    """One run over a fixed topology and interest schedule.
+
+    The queue starts with the run's end, the first path update and the
+    earliest interest. The other interests' events, built and given their
+    seqs here in input order, wait in ``_pending``, latest first, until the
+    interest before each one is handled.
+    """
 
     def __init__(self, config, topology, interests):
         config.validate_run()
@@ -191,13 +212,25 @@ class Simulation:
         self.queue.schedule(config.horizon_s, END_OF_RUN)
         self.queue.schedule(0.0, PATH_UPDATE)
         consumers = [set(topology.nodes).difference(p.anchors) for p in topology.prefixes]
+        # The events scheduling every interest now would push, seqs included.
+        seqs = self.queue.seqs
+        pending = []
         for ev in interests:
             if not 0.0 <= ev.time_s < config.horizon_s:
                 # At or after the horizon it would never pop: END_OF_RUN wins the tie.
                 raise ValueError(f"{ev}: needs a time in seconds in [0, horizon_s={config.horizon_s})")
             if not (0 <= ev.prefix_id < len(consumers) and ev.consumer in consumers[ev.prefix_id]):
                 raise ValueError(f"{ev}: needs a known prefix and a consumer node that is not its anchor")
-            self.queue.schedule(ev.time_s, INIT_INTEREST, ev)
+            pending.append((ev.time_s, next(seqs), INIT_INTEREST, ev))
+        # Latest first, so the next one is popped off the end. (time, seq)
+        # keys are unique, so the sort never compares payloads.
+        pending.sort(reverse=True)
+        self._pending = pending
+        # Pushed onto directly, with seqs from the queue's counter.
+        self._heap = self.queue.heap
+        self._seqs = seqs
+        if pending:
+            heapq.heappush(self._heap, pending.pop())
 
     def run(self):
         """Handle events up to the horizon; returns (load_log, packets).
@@ -260,13 +293,16 @@ class Simulation:
         self.queue.schedule(self._update_index / cfg.path_updates_per_s, PATH_UPDATE)
 
     def _handle_init_interest(self, now, interest):
+        # The next interest is ordered after this one, so it joins the heap now.
+        pending = self._pending
+        if pending:
+            heapq.heappush(self._heap, pending.pop())
         tables = self.tables
         if tables is None:
             tables = self.tables = self._build_tables()
         prefix = self.topology.prefixes[interest.prefix_id]
         paths = tables.paths(interest.consumer, interest.prefix_id)
-        packets = protocol.split_interest(prefix, paths, self.config.mode, now, self._ids,
-                                          self._routes)
+        packets = protocol.split_interest(prefix, paths, now, self._ids, self._routes)
         self.packets.extend(packets)
         for packet in packets:
             self._forward(packet, now)
@@ -330,7 +366,8 @@ class Simulation:
         state.sent.append((now, end, state.busy_total))
         state.busy_total += end - now
         self._active[state.channel_id] = state
-        self.queue.schedule(end, TRANSMIT_COMPLETE, state)
+        # Never before the clock, since sizes and rates are positive.
+        heapq.heappush(self._heap, (end, next(self._seqs), TRANSMIT_COMPLETE, state))
 
     def _terminate(self, packet, outcome, now):
         packet.outcome = outcome

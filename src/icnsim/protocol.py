@@ -79,26 +79,22 @@ class Packet:
         return "-".join(map(str, self.nodes))
 
 
-def split_interest(prefix, paths, mode: str, now: float, ids: Iterator[int],
-                   routes: Routes) -> list[Packet]:
+def split_interest(prefix, paths, now: float, ids: Iterator[int], routes: Routes) -> list[Packet]:
     """One interest packet per 8 MB chunk of the prefix's data object.
 
-    Single mode pins every chunk to the cheapest path; multi mode deals chunks
-    round-robin across the available paths (which degrades to single-path when
-    only one loopless path exists). Each chunk's ``nodes`` is the tuple that
-    ``routes``, the run's route table, holds for its path; a path not yet in
-    the table is stored there.
+    Chunks are dealt round-robin across ``paths``, cheapest first. Single mode
+    passes only the cheapest path, so every chunk takes it; multi mode passes
+    up to k, and degrades to single-path when only one loopless path exists.
+    Each chunk's ``nodes`` is the tuple that ``routes``, the run's route
+    table, holds for its path; a path not yet in the table is stored there.
     """
     if not paths:
         raise RouteUnavailableError(f"no path toward prefix {prefix.prefix_id}")
-    if mode not in (MODE_SINGLE, MODE_MULTI):
-        raise ValueError(f"unknown mode {mode!r}")
     if prefix.size_mb % CHUNK_SIZE_MB:
         raise ValueError(f"object size {prefix.size_mb} MB is not a chunk multiple")
-    pool = paths[:1] if mode == MODE_SINGLE else paths
     packets = []
     for chunk in range(prefix.size_mb // CHUNK_SIZE_MB):
-        route = routes[pool[chunk % len(pool)].nodes][0]
+        route = routes[paths[chunk % len(paths)].nodes][0]
         packets.append(Packet(next(ids), INTEREST, prefix.prefix_id, chunk,
                               INTEREST_SIZE_BITS, route, 0, now))
     return packets

@@ -399,6 +399,55 @@ def test_path_updates_on_exact_grid():
     assert times == [i / 5 for i in range(len(times))]
 
 
+def test_queue_holds_only_the_earliest_interest_at_the_start():
+    from icnsim.cli import build_inputs
+    cfg = mesh_config()
+    topo, scenario = build_inputs(cfg)
+    assert len(scenario) == 400
+    sim = E.Simulation(cfg, topo, scenario)
+    # The end of the run, the first path update and the earliest interest.
+    assert len(sim.queue) == 3
+    earliest = min(range(len(scenario)), key=lambda i: (scenario[i].time_s, i))
+    assert sorted(sim.queue.heap) == [
+        (0.0, 1, E.PATH_UPDATE, None),
+        (scenario[earliest].time_s, 2 + earliest, E.INIT_INTEREST, scenario[earliest]),
+        (cfg.horizon_s, 0, E.END_OF_RUN, None),
+    ]
+
+
+def test_interests_listed_out_of_order_run_in_time_then_list_order():
+    # The engine queues one interest at a time; the reference queues them all
+    # at the start. Ties at one time keep the order of the list.
+    topo = make_topology(4, [(0, 1, 1024.0), (1, 2, 1024.0), (2, 3, 1024.0), (0, 3, 512.0)],
+                         [Prefix(0, 8, (3,)), Prefix(1, 16, (0,)), Prefix(2, 8, (2,))])
+    interests = [E.InterestEvent(t, consumer, prefix_id) for t, consumer, prefix_id in (
+        (2.0, 1, 0), (0.5, 2, 1), (1.0, 0, 2), (0.5, 0, 0), (2.0, 3, 1), (1.0, 1, 2),
+        (0.0, 2, 0), (0.5, 1, 1), (2.0, 0, 2), (1.0, 3, 1))]
+    cfg = short_config(mode=P.MODE_MULTI, buffer_packets=2, horizon_s=10.0)
+    (_, packets), _ = run_with_reference(cfg, topo, interests)
+    check_conservation(packets)
+    chunks = [prefix.size_mb // P.CHUNK_SIZE_MB for prefix in topo.prefixes]
+    expected = [(ev.time_s, ev.consumer, ev.prefix_id)
+                for _, ev in sorted(enumerate(interests), key=lambda item: (item[1].time_s, item[0]))
+                for _ in range(chunks[ev.prefix_id])]
+    sent = [(p.created_s, p.src, p.prefix_id) for p in packets if p.kind == P.INTEREST]
+    assert sent == expected
+
+
+def test_interest_at_an_update_instant_runs_before_that_update():
+    # Two equal paths 0-1-3 and 0-2-3; the tie goes to 0-1-3. The interest at
+    # 0.9 loads 0-1-3, so the update at 1.0 prices 0-2-3 lower. The interest
+    # at 1.0 was given its seq before any update was scheduled, so it runs
+    # ahead of that update, on the tables of the update at 0.8. A seq taken
+    # only when it joins the heap, after the update at 1.0 was scheduled,
+    # would send it on 0-2-3.
+    topo = make_topology(4, [(0, 1, 1024.0), (0, 2, 1024.0), (1, 3, 1024.0), (2, 3, 1024.0)],
+                         [Prefix(0, 8, (3,))])
+    interests = [E.InterestEvent(1.0, 0, 0), E.InterestEvent(0.9, 0, 0), E.InterestEvent(1.1, 0, 0)]
+    (_, packets), _ = run_with_reference(short_config(horizon_s=5.0), topo, interests)
+    assert [p.nodes for p in packets if p.kind == P.INTEREST] == [(0, 1, 3), (0, 1, 3), (0, 2, 3)]
+
+
 def test_interest_near_horizon_left_unterminated():
     # Interest fires late; its chunks cannot finish the 0.125 s data leg.
     topo = two_node_topology(capacity=512.0, size_mb=16)

@@ -23,32 +23,32 @@ def test_sizes_are_exact():
 
 
 def test_single_chunk_object():
-    packets = P.split_interest(Prefix(0, 8, (4,)), [P0, P1], P.MODE_SINGLE, 1.0, itertools.count(), P.Routes())
+    packets = P.split_interest(Prefix(0, 8, (4,)), [P0], 1.0, itertools.count(), P.Routes())
     assert len(packets) == 1
     assert packets[0].nodes == P0.nodes
 
 
 def test_multi_round_robin_over_eight_chunks():
-    packets = P.split_interest(Prefix(0, 64, (4,)), [P0, P1, P2], P.MODE_MULTI, 0.0, itertools.count(), P.Routes())
+    packets = P.split_interest(Prefix(0, 64, (4,)), [P0, P1, P2], 0.0, itertools.count(), P.Routes())
     assert [p.nodes for p in packets] == [
         P0.nodes, P1.nodes, P2.nodes, P0.nodes, P1.nodes, P2.nodes, P0.nodes, P1.nodes]
     assert [p.chunk_index for p in packets] == list(range(8))
 
 
 def test_single_mode_pins_all_chunks_to_best_path():
-    packets = P.split_interest(Prefix(0, 24, (4,)), [P0, P1, P2], P.MODE_SINGLE, 0.0, itertools.count(), P.Routes())
+    packets = P.split_interest(Prefix(0, 24, (4,)), [P0], 0.0, itertools.count(), P.Routes())
     assert len(packets) == 3
     assert all(p.nodes == P0.nodes for p in packets)
 
 
 def test_multi_mode_with_one_path_degrades_to_single():
-    packets = P.split_interest(Prefix(0, 24, (4,)), [P1], P.MODE_MULTI, 0.0, itertools.count(), P.Routes())
+    packets = P.split_interest(Prefix(0, 24, (4,)), [P1], 0.0, itertools.count(), P.Routes())
     assert all(p.nodes == P1.nodes for p in packets)
 
 
 def test_packet_fields():
     ids = itertools.count(100)
-    packets = P.split_interest(Prefix(3, 16, (4,)), [P0], P.MODE_MULTI, 2.5, ids, P.Routes())
+    packets = P.split_interest(Prefix(3, 16, (4,)), [P0], 2.5, ids, P.Routes())
     assert [p.packet_id for p in packets] == [100, 101]
     for p in packets:
         assert p.kind == P.INTEREST
@@ -61,18 +61,13 @@ def test_packet_fields():
 
 def test_chunk_sizes_cover_object():
     prefix = Prefix(0, 56, (4,))
-    packets = P.split_interest(prefix, [P0], P.MODE_SINGLE, 0.0, itertools.count(), P.Routes())
+    packets = P.split_interest(prefix, [P0], 0.0, itertools.count(), P.Routes())
     assert len(packets) * P.CHUNK_SIZE_MB == prefix.size_mb
 
 
 def test_empty_paths_raises():
     with pytest.raises(P.RouteUnavailableError):
-        P.split_interest(Prefix(0, 8, (4,)), [], P.MODE_SINGLE, 0.0, itertools.count(), P.Routes())
-
-
-def test_unknown_mode_raises():
-    with pytest.raises(ValueError):
-        P.split_interest(Prefix(0, 8, (4,)), [P0], "broadcast", 0.0, itertools.count(), P.Routes())
+        P.split_interest(Prefix(0, 8, (4,)), [], 0.0, itertools.count(), P.Routes())
 
 
 def terminal_interest(route=(3, 5, 7), chunk=2, created=1.25):
@@ -118,7 +113,7 @@ def test_responses_on_one_route_share_its_reversed_tuple():
     assert first.nodes == (7, 5, 3)
     assert second.nodes is first.nodes
     # Interests on equal paths of different tables share the stored route too.
-    chunks = [P.split_interest(Prefix(0, 8, (7,)), [path(3, 5, 7)], P.MODE_SINGLE, 0.0, ids, routes)[0]
+    chunks = [P.split_interest(Prefix(0, 8, (7,)), [path(3, 5, 7)], 0.0, ids, routes)[0]
               for _ in range(2)]
     assert chunks[0].nodes is chunks[1].nodes is next(iter(routes))
 
