@@ -141,7 +141,15 @@ def _execute(config, topology, scenario):
 
 
 def run_single(config):
-    """One run; writes loads.csv, packets.csv, summary.csv, histogram.csv."""
+    """One run; writes loads.csv, packets.csv, summary.csv, histogram.csv.
+
+    The cyclic collector is paused for the whole call (see
+    ``engine.collector_paused``).
+    """
+    return engine.collector_paused(_run_single, config)
+
+
+def _run_single(config):
     topology, scenario = build_inputs(config)
     load_log, packet_log, summary = _execute(config, topology, scenario)
     del scenario  # Not needed for the files, so not held while they are written.
@@ -156,10 +164,15 @@ def run_batch(config, runs: int):
 
     Both modes of a pair run on one topology and interest schedule, built
     once per seed, so mode is the only varied factor; a run mutates neither.
-    Each mode uses its default k.
+    Each mode uses its default k. The cyclic collector is paused for the whole
+    call (see ``engine.collector_paused``).
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
+    return engine.collector_paused(_run_batch, config, runs)
+
+
+def _run_batch(config, runs):
     summaries = []
     for offset in range(runs):
         seed_config = replace(config, seed=config.seed + offset, mode=protocol.MODE_SINGLE, k=None)

@@ -49,6 +49,18 @@ push and pop sifts through fewer levels. A completion is pushed straight onto
 the heap with the next seq, as ``schedule`` would push it; it never falls
 before the clock, because sizes and rates are positive.
 
+A hop is one chain of three handlers, with no helper call between them:
+``_forward`` queues a packet, or drops it, and starts an idle channel's
+transmission itself; ``_handle_transmit_complete`` starts the next queued
+one; ``_handle_receive`` forwards the packet or ends it as delivered. A
+transmission started at a completion leaves the channel in ``_active``
+as it is: the transmission ending now kept it there, since a path update
+prunes only transmissions that ended at or before its window's start. The
+chain keeps the calls the benchmark tracer wraps: ``EventQueue.pop``, which
+pops every event but the arrivals handled in place,
+``ChannelState.busy_seconds`` at every load sample, and the module-level
+calls into ``protocol`` and ``routing``.
+
 A packet's object is its log record. It joins the log when it is created, as
 ``Unterminated`` until a delivery or drop ends it, and ids come from one
 counter in creation order, so the log is in packet-id order. Routes are
@@ -59,8 +71,9 @@ table (see ``protocol.Routes``).
 The cyclic garbage collector is paused for the event loop and left as the
 caller had it. A run makes no reference cycles, so reference counting alone
 frees everything it drops, and the collector would only walk the growing
-packet log again and again. ``Simulation.run`` turns it back on only if it
-was on before, also when the run raises.
+packet log again and again. ``collector_paused`` turns it back on only if it
+was on before, also when the run raises; ``cli.run_single`` and
+``cli.run_batch`` pause it the same way for their whole call.
 """
 
 from __future__ import annotations
@@ -75,6 +88,24 @@ from . import metrics, protocol, routing
 
 # Event kinds index the handler tuple that ``Simulation.run`` builds.
 INIT_INTEREST, TRANSMIT_COMPLETE, RECEIVE, PATH_UPDATE, END_OF_RUN = range(5)
+
+
+def collector_paused(work, *args):
+    """``work(*args)`` with the cyclic garbage collector off.
+
+    The collector is turned back on afterwards only if it was on before, also
+    when ``work`` raises. What ``work`` drops is freed by reference counting
+    before the collector resumes, so a caller that returns only summaries
+    should do its work inside ``work``: the collector then never walks its
+    logs, not even at the first collection after resuming.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return work(*args)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class SimulationError(RuntimeError):
@@ -239,23 +270,20 @@ class Simulation:
         makes no reference cycles, and is turned back on afterwards only if
         it was on when the run started, also when a handler raises.
         """
+        return collector_paused(self._handle_events)
+
+    def _handle_events(self):
         pop = self.queue.pop
         # Indexed by kind. Local: bound methods kept on self would hold a
         # finished run until a full GC.
         handlers = (self._handle_init_interest, self._handle_transmit_complete,
                     self._handle_receive, self._handle_path_update)
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            # END_OF_RUN stays queued until it pops, so the queue never runs dry.
-            while True:
-                now, _, kind, payload = pop()
-                if kind == END_OF_RUN:
-                    break
-                handlers[kind](now, payload)
-        finally:
-            if collecting:
-                gc.enable()
+        # END_OF_RUN stays queued until it pops, so the queue never runs dry.
+        while True:
+            now, _, kind, payload = pop()
+            if kind == END_OF_RUN:
+                break
+            handlers[kind](now, payload)
         return self.load_log, self.packets
 
     # -- event handlers -------------------------------------------------
@@ -315,39 +343,47 @@ class Simulation:
         return routing.rebuild_tables(self.topology, view, cfg.k, self._bounds)[0]
 
     def _handle_transmit_complete(self, now, state):
-        packet = state.queue.popleft()
+        queue = state.queue
+        packet = queue.popleft()
         # An arrival due now with nothing else due would pop next: handle it here.
         inline = not self._propagation_delay_s and self.queue.idle_at_clock()
         if not inline:
             self.queue.schedule(now + self._propagation_delay_s, RECEIVE, (state.to_node, packet))
-        if state.queue:
-            self._start_transmission(state, now)
+        if queue:
+            # The next transmission starts now. The channel stays in
+            # ``_active``: the one ending now kept it there.
+            end = now + queue[0].size_bits / state.rate_bps
+            state.sent.append((now, end, state.busy_total))
+            state.busy_total += end - now
+            heapq.heappush(self._heap, (end, next(self._seqs), TRANSMIT_COMPLETE, state))
         if inline:
             self._handle_receive(now, (state.to_node, packet))
 
     def _handle_receive(self, now, arrival):
         node, packet = arrival
         route = packet.nodes
-        if route[packet.hop_index] != node:
+        hop = packet.hop_index
+        if route[hop] != node:
             raise SimulationError(
-                f"packet {packet.packet_id} received at node {node}, "
-                f"expected {route[packet.hop_index]}")
-        if packet.hop_index < len(route) - 1:
+                f"packet {packet.packet_id} received at node {node}, expected {route[hop]}")
+        if hop < len(route) - 1:
             self._forward(packet, now)
             return
+        packet.outcome = protocol.DELIVERED
+        packet.terminated_s = now
         if packet.kind == protocol.INTEREST:
             # Anchor reached: answer with a data chunk on the reversed route.
-            self._terminate(packet, protocol.DELIVERED, now)
             data = protocol.make_data_response(packet, self._ids, self._routes)
             self.packets.append(data)
             self._forward(data, now)
-        else:
-            self._terminate(packet, protocol.DELIVERED, now)
 
     # -- channel mechanics ----------------------------------------------
 
     def _forward(self, packet, now):
-        """Queue the packet on the channel to its next hop, or drop it if that buffer is full."""
+        """Queue the packet on the channel to its next hop, or drop it if that buffer is full.
+
+        An idle channel starts transmitting it at once.
+        """
         route = packet.nodes
         hop = packet.hop_index
         packet.hop_index = hop + 1
@@ -355,23 +391,16 @@ class Simulation:
         queue = state.queue
         queued = len(queue)
         if queued >= self._buffer_packets:
-            self._terminate(packet, protocol.DROPPED, now)
+            packet.outcome = protocol.DROPPED
+            packet.terminated_s = now
             return
         queue.append(packet)
         if not queued:
-            self._start_transmission(state, now)
-
-    def _start_transmission(self, state, now):
-        end = now + state.queue[0].size_bits / state.rate_bps
-        state.sent.append((now, end, state.busy_total))
-        state.busy_total += end - now
-        self._active[state.channel_id] = state
-        # Never before the clock, since sizes and rates are positive.
-        heapq.heappush(self._heap, (end, next(self._seqs), TRANSMIT_COMPLETE, state))
-
-    def _terminate(self, packet, outcome, now):
-        packet.outcome = outcome
-        packet.terminated_s = now
+            end = now + packet.size_bits / state.rate_bps
+            state.sent.append((now, end, state.busy_total))
+            state.busy_total += end - now
+            self._active[state.channel_id] = state
+            heapq.heappush(self._heap, (end, next(self._seqs), TRANSMIT_COMPLETE, state))
 
 
 def run(config, topology, interests):

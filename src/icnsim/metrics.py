@@ -128,6 +128,13 @@ def summarize(load_log: LoadLog, packet_log, warmup_end: float, cooldown_start: 
 def write_csv(topology, load_log: LoadLog, packet_log, summary: RunSummary, out_dir) -> list[Path]:
     """Write loads.csv, packets.csv, and summary.csv under out_dir, rows in the order given.
 
+    Each path update's loads are formatted by one ``%`` call: a template per
+    run holds every channel's ``channel_id,from,to,%.6f`` line, and the
+    update's ``run_id,time_s,`` head is put before each line after. ``%.6f``
+    formats a float or an int exactly as the ``:.6f`` format spec does. The
+    run id is never part of the template, so a ``%`` in it is written as is,
+    and a topology with no channel writes no load line.
+
     The packet log is in packet-id order, as ``engine.run`` returns it. Routes
     repeat heavily, so each distinct route's ``src,dst`` and ``-``-joined
     columns are formatted once and cached by its ``nodes`` tuple; the rows are
@@ -138,12 +145,13 @@ def write_csv(topology, load_log: LoadLog, packet_log, summary: RunSummary, out_
     run_id = summary.run_id
 
     loads_path = out / "loads.csv"
-    endpoints = [f"{ch.channel_id},{ch.from_node},{ch.to_node}," for ch in topology.channels]
+    template = "".join(f"{ch.channel_id},{ch.from_node},{ch.to_node},%.6f\n" for ch in topology.channels)
     with open(loads_path, "w", newline="") as f:
         f.write(LOADS_HEADER + "\n")
-        for t, row in zip(load_log.times, load_log.rows):
-            head = f"{run_id},{t:.6f},"
-            f.writelines(f"{head}{ends}{load:.6f}\n" for ends, load in zip(endpoints, row))
+        if template:
+            for t, row in zip(load_log.times, load_log.rows):
+                head = f"{run_id},{t:.6f},"
+                f.write(head + (template % tuple(row))[:-1].replace("\n", "\n" + head) + "\n")
 
     packets_path = out / "packets.csv"
     with open(packets_path, "w", newline="") as f:

@@ -23,6 +23,14 @@ cut: a path that ties the m-th candidate may still rank ahead of it by node
 sequence, and the lower bound sums the rest of a path backwards from its
 anchor, so where the view equals the floor, cost plus bound can exceed the
 path's cost in the last bits.
+
+Every search also cuts at its first pushed target. Labels pop in (cost plus
+bound, node sequence) order and a search returns the first target it pops,
+so once it has pushed a label ending at a target, no label dearer than that
+one could pop before the search returns: the limit falls to that label's
+cost plus bound. This needs neither the bound's consistency nor any slack,
+only the pop order, and a label equal to the limit is kept, since it may pop
+first by node sequence.
 """
 
 from __future__ import annotations
@@ -104,7 +112,7 @@ def _dist_to_targets(topology, costs, targets):
     return dist
 
 
-def _best_path(topology, costs, src, targets, bound, banned_nodes, banned_first_hops, ban_trivial,
+def _best_path(topology, costs, src, targets, bound, done, banned_first_hops, ban_trivial,
                root_cost, limit):
     """Cheapest loopless path from src to any target, ties by node sequence.
 
@@ -119,34 +127,54 @@ def _best_path(topology, costs, src, targets, bound, banned_nodes, banned_first_
     Costs are strictly positive, so the first label popped at each node is the
     minimal path to it under (cost, sequence), and settling nodes is sound:
     every node on a popped label's path is itself already settled, so a
-    pruned alternative can never have been needed for looplessness. With
-    ``ban_trivial`` the single-node path is excluded (the search must leave
-    src even when src is itself a target).
+    pruned alternative can never have been needed for looplessness.
+
+    ``done`` is the settled set, which the search fills: the caller passes a
+    fresh set of the nodes the path must avoid, src not among them. src is
+    expanded before the loop, so the first-hop bans and the trivial path are
+    checked once: with ``ban_trivial`` the single-node path is excluded (the
+    search must leave src even when src is itself a target).
 
     No label whose cost plus lower bound exceeds ``limit`` enters the heap,
-    and the search returns None once none is left. Labels within the limit pop
-    in the same order as without it, so a path within the limit is found
-    exactly as before; equality is never cut.
+    and the search returns None once none is left. Pushing a label that ends
+    at a target lowers ``limit`` to its cost plus bound: every dearer label
+    would pop after it, and the search returns at the first target it pops.
+    Labels within the limit pop in the same order as without it, so a path
+    within the limit is found exactly as before; equality is never cut, so a
+    tied label with a smaller node sequence still pops first.
     """
     f = root_cost + bound[src]
-    if f == inf or f > limit or src in banned_nodes:
+    if f == inf or f > limit or src in done:
         return None
+    if src in targets and not ban_trivial:
+        return root_cost, (src,)
     adjacency = topology.adjacency
-    done = set(banned_nodes)
-    heap = [(f, (src,), root_cost)]
+    done.add(src)
+    heap = []
+    path = (src,)
+    for nbr, ch in adjacency[src]:
+        if nbr in done or nbr in banned_first_hops:
+            continue
+        hb = bound[nbr]
+        if hb == inf:
+            continue
+        ng = root_cost + costs[ch]
+        f = ng + hb
+        if f > limit:
+            continue
+        heapq.heappush(heap, (f, path + (nbr,), ng))
+        if nbr in targets:
+            limit = f
     while heap:
         _, path, g = heapq.heappop(heap)
         node = path[-1]
         if node in done:
             continue
-        if node in targets and not (ban_trivial and len(path) == 1):
+        if node in targets:
             return g, path
         done.add(node)
-        first_hop = len(path) == 1
         for nbr, ch in adjacency[node]:
             if nbr in done:
-                continue
-            if first_hop and nbr in banned_first_hops:
                 continue
             hb = bound[nbr]
             if hb == inf:
@@ -156,6 +184,8 @@ def _best_path(topology, costs, src, targets, bound, banned_nodes, banned_first_
             if f > limit:
                 continue
             heapq.heappush(heap, (f, path + (nbr,), ng))
+            if nbr in targets:
+                limit = f
     return None
 
 
@@ -171,7 +201,7 @@ def _k_shortest(topology, costs, src, targets, k, bound):
     is kept, because the node sequence breaks the tie; the slack covers the
     lower bound summing the rest of a path in another order.
     """
-    first = _best_path(topology, costs, src, targets, bound, (), (), False, 0.0, inf)
+    first = _best_path(topology, costs, src, targets, bound, set(), (), False, 0.0, inf)
     if first is None:
         return []
     accepted = [(first[0], first[1])]
@@ -182,7 +212,7 @@ def _k_shortest(topology, costs, src, targets, k, bound):
         wanted = k - len(accepted)
         ceiling = inf
         if len(candidates) >= wanted:
-            ceiling = heapq.nsmallest(wanted, candidates)[-1][0] * (1 + CUTOFF_SLACK)
+            ceiling = sorted(candidates)[wanted - 1][0] * (1 + CUTOFF_SLACK)
         root_cost = 0.0
         for j in range(len(base)):
             spur = base[j]
@@ -197,17 +227,17 @@ def _k_shortest(topology, costs, src, targets, k, bound):
                         banned_hops.add(nodes[j + 1])
                     else:
                         ban_trivial = True
-            found = _best_path(topology, costs, spur, targets, bound,
-                               frozenset(root[:-1]), banned_hops, ban_trivial, root_cost, ceiling)
+            found = _best_path(topology, costs, spur, targets, bound, set(base[:j]), banned_hops,
+                               ban_trivial, root_cost, ceiling)
             if found is None:
                 continue
-            candidate = root[:-1] + found[1]
+            candidate = base[:j] + found[1]
             if candidate in seen:
                 continue
             seen.add(candidate)
             heapq.heappush(candidates, (found[0], candidate))
             if len(candidates) >= wanted:
-                ceiling = heapq.nsmallest(wanted, candidates)[-1][0] * (1 + CUTOFF_SLACK)
+                ceiling = sorted(candidates)[wanted - 1][0] * (1 + CUTOFF_SLACK)
         if not candidates:
             break
         accepted.append(heapq.heappop(candidates))

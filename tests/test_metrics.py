@@ -4,9 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icnsim import engine as E
 from icnsim import metrics as M
 from icnsim import protocol as P
-from icnsim.topology import Prefix, make_topology
+from icnsim.config import SimulationConfig
+from icnsim.topology import Prefix, Topology, make_topology
 from oracles import exact_sum
 
 
@@ -291,6 +293,35 @@ def test_rows_sorted_and_roundtrip(tmp_path):
     again = M.write_csv(topo, loads, packets, summary_fixture(), tmp_path / "again")
     for before, after in zip(paths, again):
         assert before.read_text() == after.read_text()
+
+
+def test_loads_csv_text_is_pinned_for_edge_rows(tmp_path):
+    # A run on a topology with no channel logs an empty row per path update,
+    # and an empty row writes no line.
+    empty = Topology((0,), (), (Prefix(0, 8, (0,)),))
+    load_log, packet_log = E.run(SimulationConfig(horizon_s=1.0), empty, [])
+    assert len(load_log.rows) == 5 and len(load_log) == 0
+    summary = M.summarize(load_log, packet_log, 0.0, 1.0, run_id="0-single")
+    loads_path, *_ = M.write_csv(empty, load_log, packet_log, summary, tmp_path / "empty")
+    assert loads_path.read_text() == M.LOADS_HEADER + "\n"
+
+    # Zero, an int, a saturated load and loads that round at the 7th decimal,
+    # under a run id holding the characters of a format template.
+    topology = make_topology(3, [(0, 1, 1024.0), (1, 2, 700.0)], [Prefix(0, 8, (2,))])
+    load_log = M.LoadLog([0.2, 0.4000004], [[0.0, 1024, 700.0, 2.4999996],
+                                            [0.1234565, 0.0, 700.0, 0]])
+    loads_path, *_ = M.write_csv(topology, load_log, [], summary_fixture(run_id="5-%s%%d-multi"),
+                                 tmp_path / "edges")
+    assert loads_path.read_text() == (
+        M.LOADS_HEADER + "\n"
+        "5-%s%%d-multi,0.200000,0,0,1,0.000000\n"
+        "5-%s%%d-multi,0.200000,1,1,0,1024.000000\n"
+        "5-%s%%d-multi,0.200000,2,1,2,700.000000\n"
+        "5-%s%%d-multi,0.200000,3,2,1,2.500000\n"
+        "5-%s%%d-multi,0.400000,0,0,1,0.123456\n"
+        "5-%s%%d-multi,0.400000,1,1,0,0.000000\n"
+        "5-%s%%d-multi,0.400000,2,1,2,700.000000\n"
+        "5-%s%%d-multi,0.400000,3,2,1,0.000000\n")
 
 
 def test_unwritable_path_raises_oserror(tmp_path):

@@ -192,6 +192,43 @@ def test_matches_brute_force_with_ties(case):
     assert_matches_brute_force(topology, own_tables(topology, view, k), view, src, k)
 
 
+def weighted(n, edges, anchors):
+    """A topology with one full-duplex link per (u, v, cost) edge, and the view
+    that gives both directions of each link its cost."""
+    channels, costs = [], []
+    for u, v, cost in edges:
+        for a, b in ((u, v), (v, u)):
+            channels.append(T.Channel(len(channels), a, b, 1024.0))
+            costs.append(cost)
+    return T.Topology(tuple(range(n)), tuple(channels), (T.Prefix(0, 8, anchors),)), tuple(costs)
+
+
+# Graphs where the first target label a search pushes is not the answer: the
+# direct link to the anchor is dearer than a path with more hops, or ties a
+# path whose smaller node sequence is pushed after it.
+FIRST_TARGET_PUSHED_LOSES = {
+    "cheaper-with-more-hops": (
+        weighted(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 2, 2.0), (0, 3, 4.0)], (3,)),
+        [((0, 1, 2, 3), 3.0), ((0, 2, 3), 3.0), ((0, 3), 4.0)]),
+    "tie-pushed-later": (
+        weighted(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 3, 2.0), (0, 2, 1.0), (2, 3, 1.5)], (3,)),
+        [((0, 1, 3), 2.0), ((0, 3), 2.0), ((0, 2, 3), 2.5)]),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("floor", ["own", "zero"])
+@pytest.mark.parametrize("graph", sorted(FIRST_TARGET_PUSHED_LOSES))
+def test_first_target_pushed_does_not_win_unchecked(graph, floor, k):
+    # Guards the spur searches' target cut: a pushed target lowers the limit
+    # to its own cost plus bound, and a label at that limit is still searched.
+    (topology, view), want = FIRST_TARGET_PUSHED_LOSES[graph]
+    bounds = R.LowerBounds(topology, view if floor == "own" else (0.0,) * len(view))
+    (fib,) = R.rebuild_tables(topology, view, k, bounds)
+    assert [(p.nodes, p.cost) for p in fib.paths(0, 0)] == want[:k]
+    assert_matches_brute_force(topology, fib, view, 0, k)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_k1_is_dijkstra(seed):
