@@ -13,11 +13,7 @@ the window are measured; every other channel logs exactly 0.0, which is what
 its busy time over the window would give. A channel keeps only the
 transmissions that end after the latest window's start, which never moves
 back; the oldest kept one stores the busy total before it, so loads equal a
-whole-run history's to the bit. A sample clips its window bounds and its
-load with plain comparisons, not the builtins ``min`` and ``max``, whose
-calls cost more than the arithmetic. For floats that are neither NaN nor a
-negative zero, as no time or load is, a comparison gives the float the
-builtin would, ties included, so loads are the same either way.
+whole-run history's to the bit.
 
 Fresh tables are built at the first lookup after an update, from the loads
 logged at that update: the cost view, a tuple of costs indexed by channel id,
@@ -28,38 +24,37 @@ too, one reverse Dijkstra per prefix at its first lookup, under the idle
 costs: no load is negative and a channel's cost never falls as its load
 rises, so every view is at least the idle view.
 
-Events are plain ``(time, seq, kind, payload)`` tuples on one heap, handled
-in (time, seq) order, where ``seq`` is the scheduling order. An arrival with
-no propagation delay is due now; if nothing else is, it would pop next, so the
-completion that sends it handles it in place, after starting the channel's
-next transmission. What the arrival schedules then still follows that
-transmission's completion, exactly as from the queue, and its unused ``seq``
-only leaves a gap in the tie-breaks.
+Events are ``(time, seq, kind, payload)`` tuples on one heap, handled in
+(time, seq) order. The ``Simulation`` pushes every event itself with the next
+seq from its one counter, so ties resolve in push order, and ``END_OF_RUN``,
+pushed first, wins the tie at the horizon. No push falls before the event
+being handled: ``validate_run`` checks that the horizon is positive, the
+update rate finite and positive, and the propagation delay finite and not
+negative, and a transmission takes a positive time.
 
-Only events that can come due soon wait on the heap: the run's end, the next
-path update, the in-flight completions and arrivals, and the earliest pending
-interest. Every interest's event tuple is built up front, with the seq it
-would get if it were scheduled then, and the rest wait in a sorted list; the
-handler of one interest pushes the next. Keys are unique and the list is
-sorted, so the earliest pending interest is always on the heap and every
-other one is ordered after it: events pop in the same (time, seq) order as
-with all interests queued at the start, and ``idle_at_clock`` gives the same
-answer. The heap then holds tens of entries instead of thousands, so each
-push and pop sifts through fewer levels. A completion is pushed straight onto
-the heap with the next seq, as ``schedule`` would push it; it never falls
-before the clock, because sizes and rates are positive.
+Only the next interest waits on the heap. Every interest's event is built and
+numbered at set-up, and the others wait in a list sorted latest first; the
+handler of one interest pushes the next. Keys are unique, so the interest on
+the heap precedes every other pending one, and events pop in the same order
+as with all interests pushed at the start. The heap then holds tens of
+entries instead of thousands, so each push and pop sifts through fewer
+levels.
+
+An arrival with no propagation delay is due now. When nothing on the heap is
+due now it would pop next, so the completion that sends it handles it in
+place, after starting the channel's next transmission. What the arrival
+pushes then still follows that transmission's completion, as it would if the
+arrival had been popped, and its unused seq only leaves a gap in the
+tie-breaks.
 
 A hop is one chain of three handlers, with no helper call between them:
 ``_forward`` queues a packet, or drops it, and starts an idle channel's
 transmission itself; ``_handle_transmit_complete`` starts the next queued
-one; ``_handle_receive`` forwards the packet or ends it as delivered. A
-transmission started at a completion leaves the channel in ``_active``
-as it is: the transmission ending now kept it there, since a path update
-prunes only transmissions that ended at or before its window's start. The
-chain keeps the calls the benchmark tracer wraps: ``EventQueue.pop``, which
-pops every event but the arrivals handled in place,
-``ChannelState.busy_seconds`` at every load sample, and the module-level
-calls into ``protocol`` and ``routing``.
+one; ``_handle_receive`` forwards the packet or ends it as delivered. The
+benchmark tracer wraps ``EventQueue.pop``, which pops every event but the
+arrivals handled in place, ``ChannelState.busy_seconds`` at every load
+sample, and the module-level calls into ``protocol`` and ``routing``, so the
+engine looks each of them up at run time.
 
 A packet's object is its log record. It joins the log when it is created, as
 ``Unterminated`` until a delivery or drop ends it, and ids come from one
@@ -68,12 +63,10 @@ shared per run: every packet on a route holds the same ``nodes`` tuple, and
 every data packet answering it the same reversed tuple, from the run's route
 table (see ``protocol.Routes``).
 
-The cyclic garbage collector is paused for the event loop and left as the
-caller had it. A run makes no reference cycles, so reference counting alone
-frees everything it drops, and the collector would only walk the growing
-packet log again and again. ``collector_paused`` turns it back on only if it
-was on before, also when the run raises; ``cli.run_single`` and
-``cli.run_batch`` pause it the same way for their whole call.
+The cyclic garbage collector is paused for the event loop, and for the whole
+``cli.run_single`` and ``cli.run_batch`` calls. A run makes no reference
+cycles, so reference counting alone frees everything it drops, and the
+collector would only walk the growing packet log again and again.
 """
 
 from __future__ import annotations
@@ -112,10 +105,6 @@ class SimulationError(RuntimeError):
     """Internal inconsistency; indicates a bug, not a modeled outcome."""
 
 
-class SchedulingError(SimulationError):
-    """An event was scheduled before the current clock."""
-
-
 class InterestEvent(NamedTuple):
     """One scheduled request: a consumer asks for a prefix at a point in time."""
 
@@ -125,36 +114,17 @@ class InterestEvent(NamedTuple):
 
 
 class EventQueue:
-    """Events ``(time, seq, kind, payload)`` on one heap, popped in (time, seq) order.
+    """The event heap, which ``Simulation`` pushes onto directly.
 
-    ``seqs`` counts the events scheduled, so ties resolve in scheduling order.
-    A caller that has checked an event is not before the clock may take its
-    seq from ``seqs`` and push it onto ``heap`` itself, as ``schedule`` would.
+    It stays a class only so that the benchmark tracer can count pops by
+    wrapping ``pop``.
     """
 
     def __init__(self):
         self.heap: list[tuple] = []
-        self.seqs = itertools.count()
-        self.clock = 0.0
-
-    def __len__(self):
-        return len(self.heap)
-
-    def schedule(self, time, kind, payload=None) -> None:
-        if not time >= self.clock:
-            # NaN lands here too: it is not at or after any clock.
-            raise SchedulingError(f"event kind {kind} at t={time} scheduled after clock reached {self.clock}")
-        heapq.heappush(self.heap, (time, next(self.seqs), kind, payload))
-
-    def idle_at_clock(self) -> bool:
-        """Whether no event is due at the clock, so an event scheduled now would pop next."""
-        heap = self.heap
-        return not heap or heap[0][0] > self.clock
 
     def pop(self) -> tuple:
-        event = heapq.heappop(self.heap)
-        self.clock = event[0]
-        return event
+        return heapq.heappop(self.heap)
 
 
 class ChannelState:
@@ -164,17 +134,20 @@ class ChannelState:
     busy seconds before start)`` per transmission that a later load window
     can still read, oldest first; path updates prune it from the left.
     ``busy_total`` sums every transmission's busy seconds so far, a left fold
-    in transmission order. The channel's id, far end and rate in bit/s are
-    copied out of it for the per-hop handlers.
+    in transmission order. ``serialization_s`` maps a packet kind to the
+    seconds a packet of that kind takes to serialize: its size over the rate.
     """
 
-    __slots__ = ("channel", "channel_id", "to_node", "rate_bps", "queue", "sent", "busy_total")
+    __slots__ = ("capacity_mbps", "channel_id", "to_node", "serialization_s", "queue", "sent",
+                 "busy_total")
 
     def __init__(self, channel):
-        self.channel = channel
+        self.capacity_mbps = channel.capacity_mbps
         self.channel_id = channel.channel_id
         self.to_node = channel.to_node
-        self.rate_bps = channel.capacity_mbps * 1e6
+        rate_bps = channel.capacity_mbps * 1e6
+        self.serialization_s = {protocol.INTEREST: protocol.INTEREST_SIZE_BITS / rate_bps,
+                                protocol.DATA: protocol.DATA_SIZE_BITS / rate_bps}
         self.queue: deque[protocol.Packet] = deque()
         self.sent: deque[tuple[float, float, float]] = deque()
         self.busy_total = 0.0
@@ -201,7 +174,7 @@ class ChannelState:
 class Simulation:
     """One run over a fixed topology and interest schedule.
 
-    The queue starts with the run's end, the first path update and the
+    The heap starts with the run's end, the first path update and the
     earliest interest. The other interests' events, built and given their
     seqs here in input order, wait in ``_pending``, latest first, until the
     interest before each one is handled.
@@ -215,8 +188,8 @@ class Simulation:
         self.channels = [ChannelState(ch) for ch in topology.channels]
         # The channel from a node to a neighbor: outgoing[node][neighbor].
         self._outgoing: list[dict[int, ChannelState]] = [{} for _ in topology.nodes]
-        for state in self.channels:
-            self._outgoing[state.channel.from_node][state.to_node] = state
+        for channel, state in zip(topology.channels, self.channels):
+            self._outgoing[channel.from_node][channel.to_node] = state
         # Read on every hop, so kept off the config.
         self._buffer_packets = config.buffer_packets
         self._propagation_delay_s = config.propagation_delay_s
@@ -238,13 +211,13 @@ class Simulation:
         self.tables: routing.RouteSet | None = None
         self._ids = itertools.count()
         self._update_index = 0
+        heap = self._heap = self.queue.heap
+        seqs = self._seqs = itertools.count()
         # The horizon sentinel goes in first so it wins the (time, seq) tie
-        # against anything scheduled at exactly the horizon.
-        self.queue.schedule(config.horizon_s, END_OF_RUN)
-        self.queue.schedule(0.0, PATH_UPDATE)
+        # against anything pushed at exactly the horizon.
+        heapq.heappush(heap, (config.horizon_s, next(seqs), END_OF_RUN, None))
+        heapq.heappush(heap, (0.0, next(seqs), PATH_UPDATE, None))
         consumers = [set(topology.nodes).difference(p.anchors) for p in topology.prefixes]
-        # The events scheduling every interest now would push, seqs included.
-        seqs = self.queue.seqs
         pending = []
         for ev in interests:
             if not 0.0 <= ev.time_s < config.horizon_s:
@@ -257,11 +230,8 @@ class Simulation:
         # keys are unique, so the sort never compares payloads.
         pending.sort(reverse=True)
         self._pending = pending
-        # Pushed onto directly, with seqs from the queue's counter.
-        self._heap = self.queue.heap
-        self._seqs = seqs
         if pending:
-            heapq.heappush(self._heap, pending.pop())
+            heapq.heappush(heap, pending.pop())
 
     def run(self):
         """Handle events up to the horizon; returns (load_log, packets).
@@ -303,7 +273,7 @@ class Simulation:
                 # Idle for the whole window: its busy time there is exactly 0.0.
                 del active[channel_id]
             else:
-                cap = state.channel.capacity_mbps
+                cap = state.capacity_mbps
                 load = cap * state.busy_seconds(lo, now) / window
                 # Busy time summed from interval arithmetic can round past the
                 # window. A load equal to the capacity becomes the capacity's
@@ -318,7 +288,8 @@ class Simulation:
         self._measured = measured
         self.tables = None
         self._update_index += 1
-        self.queue.schedule(self._update_index / cfg.path_updates_per_s, PATH_UPDATE)
+        heapq.heappush(self._heap, (self._update_index / cfg.path_updates_per_s, next(self._seqs),
+                                    PATH_UPDATE, None))
 
     def _handle_init_interest(self, now, interest):
         # The next interest is ordered after this one, so it joins the heap now.
@@ -345,17 +316,19 @@ class Simulation:
     def _handle_transmit_complete(self, now, state):
         queue = state.queue
         packet = queue.popleft()
+        heap = self._heap
+        delay = self._propagation_delay_s
         # An arrival due now with nothing else due would pop next: handle it here.
-        inline = not self._propagation_delay_s and self.queue.idle_at_clock()
+        inline = not delay and (not heap or heap[0][0] > now)
         if not inline:
-            self.queue.schedule(now + self._propagation_delay_s, RECEIVE, (state.to_node, packet))
+            heapq.heappush(heap, (now + delay, next(self._seqs), RECEIVE, (state.to_node, packet)))
         if queue:
             # The next transmission starts now. The channel stays in
             # ``_active``: the one ending now kept it there.
-            end = now + queue[0].size_bits / state.rate_bps
+            end = now + state.serialization_s[queue[0].kind]
             state.sent.append((now, end, state.busy_total))
             state.busy_total += end - now
-            heapq.heappush(self._heap, (end, next(self._seqs), TRANSMIT_COMPLETE, state))
+            heapq.heappush(heap, (end, next(self._seqs), TRANSMIT_COMPLETE, state))
         if inline:
             self._handle_receive(now, (state.to_node, packet))
 
@@ -396,7 +369,7 @@ class Simulation:
             return
         queue.append(packet)
         if not queued:
-            end = now + packet.size_bits / state.rate_bps
+            end = now + state.serialization_s[packet.kind]
             state.sent.append((now, end, state.busy_total))
             state.busy_total += end - now
             self._active[state.channel_id] = state

@@ -51,14 +51,14 @@ class Packet:
 
     ``hop_index`` points at the node of ``nodes`` the packet sits at (or is in
     flight toward). Routes are frozen at creation, so later cost changes never
-    reroute a packet.
+    reroute a packet. Its size is its kind's: ``INTEREST_SIZE_BITS`` or
+    ``DATA_SIZE_BITS``.
     """
 
     packet_id: int
     kind: str
     prefix_id: int
     chunk_index: int
-    size_bits: int
     nodes: tuple[int, ...]
     hop_index: int = 0
     created_s: float = 0.0
@@ -95,8 +95,7 @@ def split_interest(prefix, paths, now: float, ids: Iterator[int], routes: Routes
     packets = []
     for chunk in range(prefix.size_mb // CHUNK_SIZE_MB):
         route = routes[paths[chunk % len(paths)].nodes][0]
-        packets.append(Packet(next(ids), INTEREST, prefix.prefix_id, chunk,
-                              INTEREST_SIZE_BITS, route, 0, now))
+        packets.append(Packet(next(ids), INTEREST, prefix.prefix_id, chunk, route, 0, now))
     return packets
 
 
@@ -114,4 +113,4 @@ def make_data_response(interest: Packet, ids: Iterator[int], routes: Routes) -> 
     if interest.hop_index != len(interest.nodes) - 1:
         raise RuntimeError("data response requested before the interest reached its anchor")
     return Packet(next(ids), DATA, interest.prefix_id, interest.chunk_index,
-                  DATA_SIZE_BITS, routes[interest.nodes][1], 0, interest.created_s)
+                  routes[interest.nodes][1], 0, interest.created_s)

@@ -107,9 +107,9 @@ def random_case(seed, max_nodes=8):
 class HeapQueue:
     """Reference event queue: one heap of (time, seq, kind, payload).
 
-    It has the interface of ``engine.EventQueue`` and counts its pops by
-    event kind. ``idle_at_clock`` scans the whole heap for an event due at
-    the clock.
+    ``schedule`` numbers events in the order they are scheduled, so ties pop
+    in that order, and ``pop`` counts its pops by event kind.
+    ``idle_at_clock`` scans the whole heap for an event due at the clock.
     """
 
     def __init__(self):
@@ -117,9 +117,6 @@ class HeapQueue:
         self._seq = 0
         self.clock = 0.0
         self.pops = Counter()
-
-    def __len__(self):
-        return len(self._heap)
 
     def schedule(self, time, kind, payload=None):
         assert time >= self.clock

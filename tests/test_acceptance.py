@@ -128,11 +128,11 @@ def test_criterion_6_physical_bounds(counted_runs):
             assert s.load_mbps <= capacity[s.channel_id] * (1 + 1e-9), (count, s)
 
     # Serialization delay spot checks: delay = size / capacity exactly.
-    checks = ((P.DATA_SIZE_BITS, 2048.0, 0.03125), (P.INTEREST_SIZE_BITS, 512.0, 0.0015625))
-    for size_bits, capacity, expected in checks:
+    checks = ((P.DATA, 2048.0, 0.03125), (P.INTEREST, 512.0, 0.0015625))
+    for kind, capacity, expected in checks:
         topo = make_topology(2, [(0, 1, capacity)], [Prefix(0, 8, (1,))])
         sim = E.Simulation(SimulationConfig(nodes=2, edges=1, prefixes=1), topo, [])
-        packet = P.Packet(0, P.DATA, 0, 0, size_bits, (0, 1), hop_index=0)
+        packet = P.Packet(0, kind, 0, 0, (0, 1))
         sim._forward(packet, 0.0)
         _, end, _ = sim.channels[0].sent[0]
         assert end == expected

@@ -16,7 +16,7 @@ from icnsim.config import SimulationConfig
 from icnsim.topology import Channel, Prefix, Topology, make_topology
 
 import oracles as O
-from oracles import HeapQueue, check_conservation, history_busy_seconds, reference_run
+from oracles import check_conservation, history_busy_seconds, reference_run
 
 
 def two_node_topology(capacity=1024.0, size_mb=16):
@@ -49,132 +49,20 @@ def short_config(**overrides):
     return SimulationConfig(**base)
 
 
-# -- event queue -------------------------------------------------------
-
-def test_queue_pops_singleton():
-    q = E.EventQueue()
-    q.schedule(5.0, E.PATH_UPDATE)
-    assert q.pop() == (5.0, 0, E.PATH_UPDATE, None)
-    assert q.clock == 5.0
-
-
-def test_queue_ties_resolve_in_schedule_order():
-    q = E.EventQueue()
-    q.schedule(5.0, E.RECEIVE, "first")
-    q.schedule(5.0, E.RECEIVE, "second")
-    assert q.pop()[3] == "first"
-    assert q.pop()[3] == "second"
-
-
-def test_queue_rejects_events_in_the_past():
-    q = E.EventQueue()
-    q.schedule(2.0, E.PATH_UPDATE)
-    q.pop()
-    with pytest.raises(E.SchedulingError):
-        q.schedule(1.0, E.PATH_UPDATE)
-    with pytest.raises(E.SchedulingError):
-        q.schedule(float("nan"), E.PATH_UPDATE)
-
-
-def test_queue_yields_nondecreasing_times():
-    q = E.EventQueue()
-    for t in (7.0, 1.0, 3.0, 3.0, 0.5, 9.0):
-        q.schedule(t, E.PATH_UPDATE)
-    popped = [q.pop()[0] for _ in range(len(q))]
-    assert popped == sorted(popped)
-
-
-def test_queue_event_at_clock_pops_after_heap_event_due_then():
-    q = E.EventQueue()
-    q.schedule(2.0, E.TRANSMIT_COMPLETE, "a")
-    q.schedule(2.0, E.TRANSMIT_COMPLETE, "b")
-    assert q.pop()[3] == "a"                   # the clock reaches 2.0; "b" is due
-    q.schedule(2.0, E.RECEIVE, "now")          # at the clock, behind "b" by seq
-    q.schedule(3.0, E.RECEIVE, "later")
-    assert [q.pop()[3] for _ in range(3)] == ["b", "now", "later"]
-
-
-def test_queue_end_of_run_beats_same_time_event():
-    q = E.EventQueue()
-    q.schedule(4.0, E.END_OF_RUN)
-    q.schedule(1.0, E.TRANSMIT_COMPLETE)
-    q.pop()
-    q.schedule(4.0, E.RECEIVE)
-    assert q.pop()[2] == E.END_OF_RUN
-    q.schedule(4.0, E.RECEIVE)                 # at the clock, behind the RECEIVE still queued
-    assert [q.pop()[1:3] for _ in range(2)] == [(2, E.RECEIVE), (3, E.RECEIVE)]
-
-
-def test_queue_len_counts_events_due_now_and_later():
-    q = E.EventQueue()
-    q.schedule(0.0, E.PATH_UPDATE)             # the clock starts at 0: due now
-    q.schedule(1.0, E.PATH_UPDATE)
-    q.schedule(2.0, E.PATH_UPDATE)
-    assert len(q) == 3
-    q.pop()
-    assert len(q) == 2
-    q.schedule(0.0, E.RECEIVE)
-    q.schedule(0.0, E.RECEIVE)
-    assert len(q) == 4
-    while len(q):
-        q.pop()
-    assert q.clock == 2.0
-
-
-def test_queue_idle_at_clock_only_when_nothing_is_due_now():
-    q = E.EventQueue()
-    assert q.idle_at_clock()
-    q.schedule(0.0, E.PATH_UPDATE)
-    assert not q.idle_at_clock()
-    q.schedule(1.0, E.PATH_UPDATE)
-    q.pop()
-    assert q.idle_at_clock()
-    q.pop()
-    q.schedule(1.0, E.RECEIVE)
-    q.schedule(1.5, E.RECEIVE)
-    assert not q.idle_at_clock()
-    q.pop()
-    assert q.clock == 1.0 and q.idle_at_clock()
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3), st.lists(st.sampled_from([0.0, 0.0, 1e-9, 1.0]),
-                                                      max_size=3)), max_size=40))
-def test_queue_pops_in_heap_reference_order(steps):
-    # Each step pops one event (if any) and then schedules 0-3 events at
-    # clock + d. Both queues must pop identical (time, seq, kind, payload),
-    # and be idle at the clock together.
-    q, ref = E.EventQueue(), HeapQueue()
-    for kind, delays in steps:
-        if len(q):
-            assert len(ref)
-            assert q.pop() == ref.pop()
-            assert q.clock == ref.clock
-        assert q.idle_at_clock() == ref.idle_at_clock()
-        for i, d in enumerate(delays):
-            q.schedule(q.clock + d, kind, i)
-            ref.schedule(ref.clock + d, kind, i)
-    assert [q.pop() for _ in range(len(q))] == [ref.pop() for _ in range(len(ref))]
-
-
 # -- serialization delays ----------------------------------------------
 
-def test_data_serialization_delay_at_2048():
-    sim = E.Simulation(short_config(), two_node_topology(capacity=2048.0), [])
+@pytest.mark.parametrize("kind, capacity, expected", [
+    (P.DATA, 2048.0, 0.03125),
+    (P.DATA, 512.0, 0.125),
+    (P.INTEREST, 2048.0, 800_000 / 2048e6),
+    (P.INTEREST, 512.0, 0.0015625),
+], ids=["data-2048", "data-512", "interest-2048", "interest-512"])
+def test_serialization_delay(kind, capacity, expected):
+    sim = E.Simulation(short_config(), two_node_topology(capacity=capacity), [])
     state = sim.channels[0]
-    packet = P.Packet(0, P.DATA, 0, 0, P.DATA_SIZE_BITS, (0, 1), hop_index=0)
-    sim._forward(packet, 0.0)
+    sim._forward(P.Packet(0, kind, 0, 0, (0, 1)), 0.0)
     start, end, _ = state.sent[0]
-    assert end - start == 0.03125
-
-
-def test_interest_serialization_delay_at_512():
-    sim = E.Simulation(short_config(), two_node_topology(capacity=512.0), [])
-    state = sim.channels[0]
-    packet = P.Packet(0, P.INTEREST, 0, 0, P.INTEREST_SIZE_BITS, (0, 1), hop_index=0)
-    sim._forward(packet, 0.0)
-    start, end, _ = state.sent[0]
-    assert end - start == 0.0015625
+    assert end - start == expected
 
 
 def test_back_to_back_completions_are_evenly_spaced():
@@ -344,8 +232,7 @@ def test_channel_busy_across_a_whole_window_logs_exactly_capacity():
 def test_tail_drop_at_buffer_capacity():
     sim = E.Simulation(short_config(), two_node_topology(), [])
     state = sim.channels[0]
-    packets = [P.Packet(i, P.INTEREST, 0, 0, P.INTEREST_SIZE_BITS, (0, 1), hop_index=0)
-               for i in range(65)]
+    packets = [P.Packet(i, P.INTEREST, 0, 0, (0, 1)) for i in range(65)]
     for packet in packets:
         sim._forward(packet, 0.0)
     assert len(state.queue) == 64
@@ -406,7 +293,7 @@ def test_queue_holds_only_the_earliest_interest_at_the_start():
     assert len(scenario) == 400
     sim = E.Simulation(cfg, topo, scenario)
     # The end of the run, the first path update and the earliest interest.
-    assert len(sim.queue) == 3
+    assert len(sim.queue.heap) == 3
     earliest = min(range(len(scenario)), key=lambda i: (scenario[i].time_s, i))
     assert sorted(sim.queue.heap) == [
         (0.0, 1, E.PATH_UPDATE, None),
@@ -608,7 +495,7 @@ def test_run_leaves_the_collector_as_it_found_it(enabled, raises):
 
 def test_receive_at_wrong_node_is_fatal():
     sim = E.Simulation(short_config(), two_node_topology(), [])
-    packet = P.Packet(0, P.INTEREST, 0, 0, P.INTEREST_SIZE_BITS, (0, 1), hop_index=1)
+    packet = P.Packet(0, P.INTEREST, 0, 0, (0, 1), hop_index=1)
     with pytest.raises(E.SimulationError):
         sim._handle_receive(0.0, (0, packet))
 

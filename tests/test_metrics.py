@@ -16,8 +16,7 @@ def record(pid, kind=P.DATA, created=0.0, terminated=1.0, outcome=P.DELIVERED,
            route="0-1", prefix=0, chunk=0):
     """A terminated packet as the engine logs it."""
     nodes = tuple(int(n) for n in route.split("-"))
-    size = P.DATA_SIZE_BITS if kind == P.DATA else P.INTEREST_SIZE_BITS
-    return P.Packet(pid, kind, prefix, chunk, size, nodes, len(nodes) - 1, created, terminated, outcome)
+    return P.Packet(pid, kind, prefix, chunk, nodes, len(nodes) - 1, created, terminated, outcome)
 
 
 def written(packets):

@@ -53,7 +53,6 @@ def test_packet_fields():
     for p in packets:
         assert p.kind == P.INTEREST
         assert p.prefix_id == 3
-        assert p.size_bits == P.INTEREST_SIZE_BITS
         assert p.created_s == 2.5
         assert p.hop_index == 0
         assert p.terminated_s is None and p.outcome == P.UNTERMINATED
@@ -71,15 +70,13 @@ def test_empty_paths_raises():
 
 
 def terminal_interest(route=(3, 5, 7), chunk=2, created=1.25):
-    return P.Packet(0, P.INTEREST, 9, chunk, P.INTEREST_SIZE_BITS, route,
-                    hop_index=len(route) - 1, created_s=created)
+    return P.Packet(0, P.INTEREST, 9, chunk, route, hop_index=len(route) - 1, created_s=created)
 
 
 def test_data_response_reverses_route():
     data = P.make_data_response(terminal_interest(), itertools.count(1), P.Routes())
     assert data.nodes == (7, 5, 3)
     assert data.kind == P.DATA
-    assert data.size_bits == P.DATA_SIZE_BITS
     assert data.hop_index == 0
 
 
@@ -97,7 +94,7 @@ def test_data_response_for_pair_route():
 
 
 def test_data_response_requires_terminal_interest():
-    wandering = P.Packet(0, P.INTEREST, 0, 0, P.INTEREST_SIZE_BITS, (3, 5, 7), hop_index=1)
+    wandering = P.Packet(0, P.INTEREST, 0, 0, (3, 5, 7), hop_index=1)
     with pytest.raises(RuntimeError):
         P.make_data_response(wandering, itertools.count(), P.Routes())
     data = P.make_data_response(terminal_interest(), itertools.count(1), P.Routes())
@@ -125,7 +122,7 @@ def test_route_reversal_is_involutive(nodes):
 
 
 def test_packet_route():
-    three_hop = P.Packet(0, P.INTEREST, 0, 0, P.INTEREST_SIZE_BITS, (3, 5, 7))
+    three_hop = P.Packet(0, P.INTEREST, 0, 0, (3, 5, 7))
     assert (three_hop.route, three_hop.src, three_hop.dst) == ("3-5-7", 3, 7)
-    one_node = P.Packet(0, P.DATA, 0, 0, P.DATA_SIZE_BITS, (4,))
+    one_node = P.Packet(0, P.DATA, 0, 0, (4,))
     assert (one_node.route, one_node.src, one_node.dst) == ("4", 4, 4)
