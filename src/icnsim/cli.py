@@ -134,10 +134,11 @@ def build_inputs(config):
 
 def _execute(config, topology, scenario):
     load_log, packet_log = engine.run(config, topology, scenario)
-    summary = metrics.summarize(load_log, packet_log, config.warmup_s, config.cooldown_start_s,
-                                run_id=f"{config.seed}-{config.mode}", mode=config.mode,
-                                interest_count=config.interests, seed=config.seed)
-    return load_log, packet_log, summary
+    delays = metrics.delivery_times(packet_log)
+    summary = metrics.summarize(load_log, packet_log, delays, config.warmup_s,
+                                config.cooldown_start_s, run_id=f"{config.seed}-{config.mode}",
+                                mode=config.mode, interest_count=config.interests, seed=config.seed)
+    return load_log, packet_log, delays, summary
 
 
 def run_single(config):
@@ -151,10 +152,11 @@ def run_single(config):
 
 def _run_single(config):
     topology, scenario = build_inputs(config)
-    load_log, packet_log, summary = _execute(config, topology, scenario)
-    del scenario  # Not needed for the files, so not held while they are written.
+    load_log, packet_log, delays, summary = _execute(config, topology, scenario)
+    bins = metrics.histogram(delays, config.histogram_bin_s)
+    # Neither is needed for the files, so neither is held while they are written.
+    del scenario, delays
     paths = metrics.write_csv(topology, load_log, packet_log, summary, config.out_dir)
-    bins = metrics.histogram(metrics.delivery_times(packet_log), config.histogram_bin_s)
     paths.append(metrics.write_histogram(bins, Path(config.out_dir) / "histogram.csv"))
     return summary, paths
 
@@ -178,7 +180,7 @@ def _run_batch(config, runs):
         seed_config = replace(config, seed=config.seed + offset, mode=protocol.MODE_SINGLE, k=None)
         inputs = build_inputs(seed_config)
         for mode in (protocol.MODE_SINGLE, protocol.MODE_MULTI):
-            summaries.append(_execute(replace(seed_config, mode=mode, k=None), *inputs)[2])
+            summaries.append(_execute(replace(seed_config, mode=mode, k=None), *inputs)[3])
     return summaries, metrics.write_batch(summaries, Path(config.out_dir) / "batch.csv")
 
 

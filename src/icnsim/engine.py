@@ -50,11 +50,20 @@ tie-breaks.
 A hop is one chain of three handlers, with no helper call between them:
 ``_forward`` queues a packet, or drops it, and starts an idle channel's
 transmission itself; ``_handle_transmit_complete`` starts the next queued
-one; ``_handle_receive`` forwards the packet or ends it as delivered. The
-benchmark tracer wraps ``EventQueue.pop``, which pops every event but the
-arrivals handled in place, ``ChannelState.busy_seconds`` at every load
-sample, and the module-level calls into ``protocol`` and ``routing``, so the
-engine looks each of them up at run time.
+one; ``_handle_receive`` forwards the packet or ends it as delivered. A
+packet stores no hop: ``_forward`` is given the index of the node it sends
+from, 0 for a new packet, and ``_handle_receive`` finds the arrival's node in
+the route, which is loopless, so the node fixes the hop. An arrival at a node
+off the route, or at the route's source, which no arrival can reach, is a
+``SimulationError``.
+
+The benchmark tracer replaces ``EventQueue.pop`` on the class, which pops
+every event but the arrivals handled in place, wraps
+``ChannelState.busy_seconds`` at every load sample, and wraps the
+module-level calls into ``protocol`` and ``routing``, so the engine looks each
+of them up at run time. Untraced, ``EventQueue.pop`` is ``heapq.heappop``
+itself, which the run reads off the class when it starts and calls on the
+heap.
 
 A packet's object is its log record. It joins the log when it is created, as
 ``Unterminated`` until a delivery or drop ends it, and ids come from one
@@ -117,14 +126,13 @@ class EventQueue:
     """The event heap, which ``Simulation`` pushes onto directly.
 
     It stays a class only so that the benchmark tracer can count pops by
-    wrapping ``pop``.
+    replacing ``pop``, which the run calls on ``heap``.
     """
+
+    pop = staticmethod(heapq.heappop)
 
     def __init__(self):
         self.heap: list[tuple] = []
-
-    def pop(self) -> tuple:
-        return heapq.heappop(self.heap)
 
 
 class ChannelState:
@@ -243,14 +251,15 @@ class Simulation:
         return collector_paused(self._handle_events)
 
     def _handle_events(self):
-        pop = self.queue.pop
+        pop = EventQueue.pop
+        heap = self._heap
         # Indexed by kind. Local: bound methods kept on self would hold a
         # finished run until a full GC.
         handlers = (self._handle_init_interest, self._handle_transmit_complete,
                     self._handle_receive, self._handle_path_update)
         # END_OF_RUN stays queued until it pops, so the queue never runs dry.
         while True:
-            now, _, kind, payload = pop()
+            now, _, kind, payload = pop(heap)
             if kind == END_OF_RUN:
                 break
             handlers[kind](now, payload)
@@ -304,7 +313,7 @@ class Simulation:
         packets = protocol.split_interest(prefix, paths, now, self._ids, self._routes)
         self.packets.extend(packets)
         for packet in packets:
-            self._forward(packet, now)
+            self._forward(packet, 0, now)
 
     def _build_tables(self):
         """Routing tables for the loads measured at the last path update."""
@@ -335,31 +344,33 @@ class Simulation:
     def _handle_receive(self, now, arrival):
         node, packet = arrival
         route = packet.nodes
-        hop = packet.hop_index
-        if route[hop] != node:
+        try:
+            hop = route.index(node)
+        except ValueError:
             raise SimulationError(
-                f"packet {packet.packet_id} received at node {node}, expected {route[hop]}")
+                f"packet {packet.packet_id} received at node {node}, off its route") from None
+        if not hop:
+            raise SimulationError(
+                f"packet {packet.packet_id} received at node {node}, its route's source")
         if hop < len(route) - 1:
-            self._forward(packet, now)
+            self._forward(packet, hop, now)
             return
         packet.outcome = protocol.DELIVERED
         packet.terminated_s = now
         if packet.kind == protocol.INTEREST:
             # Anchor reached: answer with a data chunk on the reversed route.
-            data = protocol.make_data_response(packet, self._ids, self._routes)
+            data = protocol.make_data_response(packet, node, self._ids, self._routes)
             self.packets.append(data)
-            self._forward(data, now)
+            self._forward(data, 0, now)
 
     # -- channel mechanics ----------------------------------------------
 
-    def _forward(self, packet, now):
-        """Queue the packet on the channel to its next hop, or drop it if that buffer is full.
+    def _forward(self, packet, hop, now):
+        """Queue the packet on its channel out of ``nodes[hop]``, or drop it if that buffer is full.
 
         An idle channel starts transmitting it at once.
         """
         route = packet.nodes
-        hop = packet.hop_index
-        packet.hop_index = hop + 1
         state = self._outgoing[route[hop]][route[hop + 1]]
         queue = state.queue
         queued = len(queue)

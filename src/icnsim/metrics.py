@@ -85,8 +85,9 @@ def delivery_times(packet_log) -> list[float]:
             if r.kind == protocol.DATA and r.outcome == protocol.DELIVERED]
 
 
-def summarize(load_log: LoadLog, packet_log, warmup_end: float, cooldown_start: float, *,
-              run_id: str = "", mode: str = "", interest_count: int = 0, seed: int = 0) -> RunSummary:
+def summarize(load_log: LoadLog, packet_log, delays: list[float], warmup_end: float,
+              cooldown_start: float, *, run_id: str = "", mode: str = "", interest_count: int = 0,
+              seed: int = 0) -> RunSummary:
     """Run statistics.
 
     Load statistics use only samples with warmup_end <= t < cooldown_start:
@@ -94,7 +95,8 @@ def summarize(load_log: LoadLog, packet_log, warmup_end: float, cooldown_start: 
     average load is offered load over the channel count, and the load spread
     is the population standard deviation across channels at each sample time,
     averaged over times. Packet statistics are not time-filtered; average
-    delivery is the mean of ``delivery_times``. Every sum is a correctly
+    delivery is the mean of ``delays``, the log's ``delivery_times``, which
+    the caller computes once per run. Every sum is a correctly
     rounded ``math.fsum`` divided once, so no figure depends on the order of
     channels or packets.
     """
@@ -118,7 +120,6 @@ def summarize(load_log: LoadLog, packet_log, warmup_end: float, cooldown_start: 
         offered = avg = std = 0.0
 
     outcomes = Counter(r.outcome for r in packet_log)
-    delays = delivery_times(packet_log)
     avg_delivery = fsum(delays) / len(delays) if delays else None
     return RunSummary(run_id, mode, interest_count, seed, avg_delivery,
                       outcomes[protocol.DELIVERED], outcomes[protocol.DROPPED],

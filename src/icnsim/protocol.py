@@ -49,10 +49,12 @@ class RouteUnavailableError(ValueError):
 class Packet:
     """One interest or data unit carrying its full source route; also its log record.
 
-    ``hop_index`` points at the node of ``nodes`` the packet sits at (or is in
-    flight toward). Routes are frozen at creation, so later cost changes never
-    reroute a packet. Its size is its kind's: ``INTEREST_SIZE_BITS`` or
-    ``DATA_SIZE_BITS``.
+    Its fields are what ``packets.csv`` reports; ``src``, ``dst`` and
+    ``route`` are derived from ``nodes``. Routes are frozen at creation, so
+    later cost changes never reroute a packet, and loopless, so the hop a
+    packet has reached is the index of its node in ``nodes``: nothing changes
+    in flight until a delivery or drop ends the packet. Its size is its kind's:
+    ``INTEREST_SIZE_BITS`` or ``DATA_SIZE_BITS``.
     """
 
     packet_id: int
@@ -60,7 +62,6 @@ class Packet:
     prefix_id: int
     chunk_index: int
     nodes: tuple[int, ...]
-    hop_index: int = 0
     created_s: float = 0.0
     terminated_s: float | None = None
     outcome: str = UNTERMINATED
@@ -95,12 +96,12 @@ def split_interest(prefix, paths, now: float, ids: Iterator[int], routes: Routes
     packets = []
     for chunk in range(prefix.size_mb // CHUNK_SIZE_MB):
         route = routes[paths[chunk % len(paths)].nodes][0]
-        packets.append(Packet(next(ids), INTEREST, prefix.prefix_id, chunk, route, 0, now))
+        packets.append(Packet(next(ids), INTEREST, prefix.prefix_id, chunk, route, now))
     return packets
 
 
-def make_data_response(interest: Packet, ids: Iterator[int], routes: Routes) -> Packet:
-    """Data chunk answering an interest that reached its anchor.
+def make_data_response(interest: Packet, node: int, ids: Iterator[int], routes: Routes) -> Packet:
+    """Data chunk answering an interest that reached its anchor, ``node``.
 
     The route is the interest's route reversed: the tuple that ``routes``, the
     run's route table, holds for it, so responses on one route share it. An
@@ -110,7 +111,7 @@ def make_data_response(interest: Packet, ids: Iterator[int], routes: Routes) -> 
     """
     if interest.kind != INTEREST:
         raise RuntimeError(f"data response requested for a {interest.kind} packet")
-    if interest.hop_index != len(interest.nodes) - 1:
-        raise RuntimeError("data response requested before the interest reached its anchor")
+    if node != interest.nodes[-1]:
+        raise RuntimeError(f"data response requested at node {node}, not at the interest's anchor")
     return Packet(next(ids), DATA, interest.prefix_id, interest.chunk_index,
-                  routes[interest.nodes][1], 0, interest.created_s)
+                  routes[interest.nodes][1], interest.created_s)

@@ -47,7 +47,7 @@ def counted_runs():
     for count, mode in zip(INTEREST_COUNTS, ("single", "multi", "single", "multi")):
         config = SimulationConfig(seed=1, interests=count, mode=mode)
         topology, scenario = cli.build_inputs(config)
-        load_log, packet_log, _ = cli._execute(config, topology, scenario)
+        load_log, packet_log, _, _ = cli._execute(config, topology, scenario)
         runs[count] = (topology, load_log, packet_log)
     return runs
 
@@ -133,7 +133,7 @@ def test_criterion_6_physical_bounds(counted_runs):
         topo = make_topology(2, [(0, 1, capacity)], [Prefix(0, 8, (1,))])
         sim = E.Simulation(SimulationConfig(nodes=2, edges=1, prefixes=1), topo, [])
         packet = P.Packet(0, kind, 0, 0, (0, 1))
-        sim._forward(packet, 0.0)
+        sim._forward(packet, 0, 0.0)
         _, end, _ = sim.channels[0].sent[0]
         assert end == expected
     _report(6, True,
@@ -152,16 +152,16 @@ def test_criterion_7_warmup_cooldown_exclusion():
         return LoadLog(times, rows)
 
     base = LoadLog([100.0, 500.0, 900.0], [[10.0, 20.0] for _ in range(3)])
-    reference = summarize(base, [], 50.0, 950.0)
+    reference = summarize(base, [], [], 50.0, 950.0)
 
     excluded = with_edges(49.9, 950.0)
-    unchanged = summarize(excluded, [], 50.0, 950.0)
+    unchanged = summarize(excluded, [], [], 50.0, 950.0)
     same = (unchanged.offered_load_mbps == reference.offered_load_mbps
             and unchanged.avg_load_mbps == reference.avg_load_mbps
             and unchanged.std_load_mbps == reference.std_load_mbps)
 
     included = with_edges(50.0, 949.9)
-    changed = summarize(included, [], 50.0, 950.0)
+    changed = summarize(included, [], [], 50.0, 950.0)
     differs = (changed.offered_load_mbps != reference.offered_load_mbps
                and changed.avg_load_mbps != reference.avg_load_mbps
                and changed.std_load_mbps != reference.std_load_mbps)

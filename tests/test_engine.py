@@ -60,7 +60,7 @@ def short_config(**overrides):
 def test_serialization_delay(kind, capacity, expected):
     sim = E.Simulation(short_config(), two_node_topology(capacity=capacity), [])
     state = sim.channels[0]
-    sim._forward(P.Packet(0, kind, 0, 0, (0, 1)), 0.0)
+    sim._forward(P.Packet(0, kind, 0, 0, (0, 1)), 0, 0.0)
     start, end, _ = state.sent[0]
     assert end - start == expected
 
@@ -234,7 +234,7 @@ def test_tail_drop_at_buffer_capacity():
     state = sim.channels[0]
     packets = [P.Packet(i, P.INTEREST, 0, 0, (0, 1)) for i in range(65)]
     for packet in packets:
-        sim._forward(packet, 0.0)
+        sim._forward(packet, 0, 0.0)
     assert len(state.queue) == 64
     dropped = [p for p in packets if p.outcome == P.DROPPED]
     assert [p.packet_id for p in dropped] == [64]
@@ -494,10 +494,14 @@ def test_run_leaves_the_collector_as_it_found_it(enabled, raises):
 
 
 def test_receive_at_wrong_node_is_fatal():
-    sim = E.Simulation(short_config(), two_node_topology(), [])
-    packet = P.Packet(0, P.INTEREST, 0, 0, (0, 1), hop_index=1)
-    with pytest.raises(E.SimulationError):
-        sim._handle_receive(0.0, (0, packet))
+    # No arrival can reach a packet's own source (node 0) or a node off its
+    # route (node 2).
+    topo = make_topology(3, [(0, 1, 1024.0), (1, 2, 1024.0)], [Prefix(0, 8, (2,))])
+    sim = E.Simulation(short_config(), topo, [])
+    packet = P.Packet(0, P.INTEREST, 0, 0, (0, 1))
+    for node, reason in ((0, "source"), (2, "off its route")):
+        with pytest.raises(E.SimulationError, match=reason):
+            sim._handle_receive(0.0, (node, packet))
 
 
 def test_same_instant_arrivals_at_buffer_1_channel():

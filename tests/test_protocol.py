@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -54,7 +55,6 @@ def test_packet_fields():
         assert p.kind == P.INTEREST
         assert p.prefix_id == 3
         assert p.created_s == 2.5
-        assert p.hop_index == 0
         assert p.terminated_s is None and p.outcome == P.UNTERMINATED
 
 
@@ -70,43 +70,47 @@ def test_empty_paths_raises():
 
 
 def terminal_interest(route=(3, 5, 7), chunk=2, created=1.25):
-    return P.Packet(0, P.INTEREST, 9, chunk, route, hop_index=len(route) - 1, created_s=created)
+    return P.Packet(0, P.INTEREST, 9, chunk, route, created_s=created)
+
+
+def respond(interest, ids, routes):
+    """The data response at the interest's anchor."""
+    return P.make_data_response(interest, interest.nodes[-1], ids, routes)
 
 
 def test_data_response_reverses_route():
-    data = P.make_data_response(terminal_interest(), itertools.count(1), P.Routes())
+    data = respond(terminal_interest(), itertools.count(1), P.Routes())
     assert data.nodes == (7, 5, 3)
     assert data.kind == P.DATA
-    assert data.hop_index == 0
 
 
 def test_data_response_preserves_identity_and_clock():
     interest = terminal_interest(chunk=2, created=1.25)
-    data = P.make_data_response(interest, itertools.count(1), P.Routes())
+    data = respond(interest, itertools.count(1), P.Routes())
     assert data.prefix_id == interest.prefix_id
     assert data.chunk_index == 2
     assert data.created_s == 1.25
 
 
 def test_data_response_for_pair_route():
-    data = P.make_data_response(terminal_interest(route=(3, 7)), itertools.count(1), P.Routes())
+    data = respond(terminal_interest(route=(3, 7)), itertools.count(1), P.Routes())
     assert data.nodes == (7, 3)
 
 
 def test_data_response_requires_terminal_interest():
-    wandering = P.Packet(0, P.INTEREST, 0, 0, (3, 5, 7), hop_index=1)
+    for node in (3, 5):
+        with pytest.raises(RuntimeError):
+            P.make_data_response(terminal_interest(), node, itertools.count(), P.Routes())
+    data = respond(terminal_interest(), itertools.count(1), P.Routes())
     with pytest.raises(RuntimeError):
-        P.make_data_response(wandering, itertools.count(), P.Routes())
-    data = P.make_data_response(terminal_interest(), itertools.count(1), P.Routes())
-    with pytest.raises(RuntimeError):
-        P.make_data_response(data, itertools.count(), P.Routes())
+        respond(data, itertools.count(), P.Routes())
 
 
 def test_responses_on_one_route_share_its_reversed_tuple():
     routes = P.Routes()
     ids = itertools.count()
-    first = P.make_data_response(terminal_interest(route=(3, 5, 7)), ids, routes)
-    second = P.make_data_response(terminal_interest(route=tuple([3, 5, 7])), ids, routes)
+    first = respond(terminal_interest(route=(3, 5, 7)), ids, routes)
+    second = respond(terminal_interest(route=tuple([3, 5, 7])), ids, routes)
     assert first.nodes == (7, 5, 3)
     assert second.nodes is first.nodes
     # Interests on equal paths of different tables share the stored route too.
@@ -126,3 +130,11 @@ def test_packet_route():
     assert (three_hop.route, three_hop.src, three_hop.dst) == ("3-5-7", 3, 7)
     one_node = P.Packet(0, P.DATA, 0, 0, (4,))
     assert (one_node.route, one_node.src, one_node.dst) == ("4", 4, 4)
+
+
+def test_packet_holds_only_the_reported_fields():
+    # packets.csv derives src, dst and route from nodes. A loopless route's
+    # node fixes the hop, so no field changes in flight until the packet ends.
+    assert [f.name for f in dataclasses.fields(P.Packet)] == [
+        "packet_id", "kind", "prefix_id", "chunk_index", "nodes", "created_s", "terminated_s",
+        "outcome"]
