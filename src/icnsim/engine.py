@@ -8,29 +8,33 @@ on the wire. Every run setting, buffer size and cost clamp included, comes
 from the ``SimulationConfig``; the topology holds only the graph.
 
 Periodic path-update events measure per-channel load over a sliding window,
-log them, and retire the routing tables. Only channels that transmitted inside
-the window are measured; every other channel logs exactly 0.0, which is what
-its busy time over the window would give. A channel keeps only the
+log them, and retire the routing tables. The k-th update schedules the next
+one at ``k / path_updates_per_s``, where k is the number of rows logged. Only
+channels that transmitted inside the window are measured; every other channel
+logs exactly 0.0, which is what its busy time over the window would give. A channel keeps only the
 transmissions that end after the latest window's start, which never moves
 back; the oldest kept one stores the busy total before it, so loads equal a
 whole-run history's to the bit.
 
-Fresh tables are built at the first lookup after an update, from the loads
-logged at that update: the cost view, a tuple of costs indexed by channel id,
-starts from every channel's idle cost, computed once per run, and overwrites
-only the measured channels. An update with no interest before the next one
-builds nothing. The path searches' lower bounds are computed once per run
-too, one reverse Dijkstra per prefix at its first lookup, under the idle
-costs: no load is negative and a channel's cost never falls as its load
-rises, so every view is at least the idle view.
+Fresh tables are built at the first lookup after an update, from the load
+row logged at that update, the log's last: the cost view, a tuple of costs
+indexed by channel id, starts from every channel's idle cost, computed once
+per run as the floor of the searches' lower bounds, and overwrites only the
+channels with a nonzero load. An update with no interest before the next one
+builds nothing. The lower bounds are computed once per run too, one reverse
+Dijkstra per prefix at its first lookup, under the idle costs: no load is
+negative and a channel's cost never falls as its load rises, so every view is
+at least the idle view.
 
 Events are ``(time, seq, kind, payload)`` tuples on one heap, handled in
 (time, seq) order. The ``Simulation`` pushes every event itself with the next
-seq from its one counter, so ties resolve in push order, and ``END_OF_RUN``,
-pushed first, wins the tie at the horizon. No push falls before the event
-being handled: ``validate_run`` checks that the horizon is positive, the
-update rate finite and positive, and the propagation delay finite and not
-negative, and a transmission takes a positive time.
+seq from its one counter, so ties resolve in push order. The run ends at the
+first pop at or past the horizon, which is not handled: an event at exactly
+the horizon is not part of the run. That pop always comes, since the next
+path update is always queued. No push falls before the event being handled:
+``validate_run`` checks that the horizon is positive, the update rate finite
+and positive, and the propagation delay finite and not negative, and a
+transmission takes a positive time.
 
 Only the next interest waits on the heap. Every interest's event is built and
 numbered at set-up, and the others wait in a list sorted latest first; the
@@ -66,8 +70,8 @@ itself, which the run reads off the class when it starts and calls on the
 heap.
 
 A packet's object is its log record. It joins the log when it is created, as
-``Unterminated`` until a delivery or drop ends it, and ids come from one
-counter in creation order, so the log is in packet-id order. Routes are
+``Unterminated`` until a delivery or drop ends it, and its id is its position
+in the log: the log's length when it is created. Routes are
 shared per run: every packet on a route holds the same ``nodes`` tuple, and
 every data packet answering it the same reversed tuple, from the run's route
 table (see ``protocol.Routes``).
@@ -89,7 +93,7 @@ from typing import NamedTuple
 from . import metrics, protocol, routing
 
 # Event kinds index the handler tuple that ``Simulation.run`` builds.
-INIT_INTEREST, TRANSMIT_COMPLETE, RECEIVE, PATH_UPDATE, END_OF_RUN = range(5)
+INIT_INTEREST, TRANSMIT_COMPLETE, RECEIVE, PATH_UPDATE = range(4)
 
 
 def collector_paused(work, *args):
@@ -123,16 +127,13 @@ class InterestEvent(NamedTuple):
 
 
 class EventQueue:
-    """The event heap, which ``Simulation`` pushes onto directly.
+    """Holds only ``pop``, which the run calls on its event heap.
 
     It stays a class only so that the benchmark tracer can count pops by
-    replacing ``pop``, which the run calls on ``heap``.
+    replacing ``pop``; the heap itself is ``Simulation._heap``.
     """
 
     pop = staticmethod(heapq.heappop)
-
-    def __init__(self):
-        self.heap: list[tuple] = []
 
 
 class ChannelState:
@@ -182,7 +183,7 @@ class ChannelState:
 class Simulation:
     """One run over a fixed topology and interest schedule.
 
-    The heap starts with the run's end, the first path update and the
+    The event heap, ``_heap``, starts with the first path update and the
     earliest interest. The other interests' events, built and given their
     seqs here in input order, wait in ``_pending``, latest first, until the
     interest before each one is handled.
@@ -192,7 +193,6 @@ class Simulation:
         config.validate_run()
         self.config = config
         self.topology = topology
-        self.queue = EventQueue()
         self.channels = [ChannelState(ch) for ch in topology.channels]
         # The channel from a node to a neighbor: outgoing[node][neighbor].
         self._outgoing: list[dict[int, ChannelState]] = [{} for _ in topology.nodes]
@@ -208,28 +208,19 @@ class Simulation:
         # Channels that have transmitted since a path update last found them
         # idle for a whole load window, by channel id.
         self._active: dict[int, ChannelState] = {}
-        # Each channel's cost with no load; a cost view overwrites the measured ones.
-        self._idle_costs = routing.idle_costs(topology, config.epsilon_mbps)
-        # No view is below the idle view, so its distances bound every table's
-        # searches; each prefix's are computed at its first lookup.
-        self._bounds = routing.LowerBounds(topology, self._idle_costs)
-        # (channel id, load) pairs measured at the last path update, and the
-        # tables built from them, or None until a lookup needs them.
-        self._measured: list[tuple[int, float]] = []
+        # No view is below the idle view, each channel's cost with no load, so
+        # its distances bound every table's searches; each prefix's are
+        # computed at its first lookup. A cost view starts from its floor.
+        self._bounds = routing.LowerBounds(topology, routing.idle_costs(topology, config.epsilon_mbps))
+        # The tables for the last logged load row, or None until a lookup needs them.
         self.tables: routing.RouteSet | None = None
-        self._ids = itertools.count()
-        self._update_index = 0
-        heap = self._heap = self.queue.heap
         seqs = self._seqs = itertools.count()
-        # The horizon sentinel goes in first so it wins the (time, seq) tie
-        # against anything pushed at exactly the horizon.
-        heapq.heappush(heap, (config.horizon_s, next(seqs), END_OF_RUN, None))
-        heapq.heappush(heap, (0.0, next(seqs), PATH_UPDATE, None))
+        heap = self._heap = [(0.0, next(seqs), PATH_UPDATE, None)]
         consumers = [set(topology.nodes).difference(p.anchors) for p in topology.prefixes]
         pending = []
         for ev in interests:
             if not 0.0 <= ev.time_s < config.horizon_s:
-                # At or after the horizon it would never pop: END_OF_RUN wins the tie.
+                # At or after the horizon it would never be handled: the run ends at that pop.
                 raise ValueError(f"{ev}: needs a time in seconds in [0, horizon_s={config.horizon_s})")
             if not (0 <= ev.prefix_id < len(consumers) and ev.consumer in consumers[ev.prefix_id]):
                 raise ValueError(f"{ev}: needs a known prefix and a consumer node that is not its anchor")
@@ -257,10 +248,11 @@ class Simulation:
         # finished run until a full GC.
         handlers = (self._handle_init_interest, self._handle_transmit_complete,
                     self._handle_receive, self._handle_path_update)
-        # END_OF_RUN stays queued until it pops, so the queue never runs dry.
+        horizon = self.config.horizon_s
+        # A path update is always queued, so a pop at or past the horizon always comes.
         while True:
             now, _, kind, payload = pop(heap)
-            if kind == END_OF_RUN:
+            if now >= horizon:
                 break
             handlers[kind](now, payload)
         return self.load_log, self.packets
@@ -272,7 +264,6 @@ class Simulation:
         window = cfg.load_window_s
         lo = now - window
         loads = [0.0] * len(self.channels)
-        measured = []
         active = self._active
         for channel_id, state in list(active.items()):
             sent = state.sent
@@ -291,14 +282,11 @@ class Simulation:
                 if load >= cap:
                     load = cap
                 loads[channel_id] = load
-                measured.append((channel_id, load))
         self.load_log.append(now, loads)
         # The tables wait for the first lookup; many updates see none.
-        self._measured = measured
         self.tables = None
-        self._update_index += 1
-        heapq.heappush(self._heap, (self._update_index / cfg.path_updates_per_s, next(self._seqs),
-                                    PATH_UPDATE, None))
+        heapq.heappush(self._heap, (len(self.load_log.times) / cfg.path_updates_per_s,
+                                    next(self._seqs), PATH_UPDATE, None))
 
     def _handle_init_interest(self, now, interest):
         # The next interest is ordered after this one, so it joins the heap now.
@@ -310,17 +298,20 @@ class Simulation:
             tables = self.tables = self._build_tables()
         prefix = self.topology.prefixes[interest.prefix_id]
         paths = tables.paths(interest.consumer, interest.prefix_id)
-        packets = protocol.split_interest(prefix, paths, now, self._ids, self._routes)
+        packets = protocol.split_interest(prefix, paths, now, len(self.packets), self._routes)
         self.packets.extend(packets)
         for packet in packets:
             self._forward(packet, 0, now)
 
     def _build_tables(self):
-        """Routing tables for the loads measured at the last path update."""
+        """Routing tables for the load row logged at the last path update.
+
+        The cost view starts from the idle costs, the lower bounds' floor.
+        """
         cfg = self.config
-        view = routing.compute_cost_view(self.topology, self._idle_costs, self._measured,
+        view = routing.compute_cost_view(self.topology, self._bounds.floor, self.load_log.rows[-1],
                                          cfg.epsilon_mbps)
-        return routing.rebuild_tables(self.topology, view, cfg.k, self._bounds)[0]
+        return routing.rebuild_tables(view, cfg.k, self._bounds)[0]
 
     def _handle_transmit_complete(self, now, state):
         queue = state.queue
@@ -359,7 +350,7 @@ class Simulation:
         packet.terminated_s = now
         if packet.kind == protocol.INTEREST:
             # Anchor reached: answer with a data chunk on the reversed route.
-            data = protocol.make_data_response(packet, node, self._ids, self._routes)
+            data = protocol.make_data_response(packet, node, len(self.packets), self._routes)
             self.packets.append(data)
             self._forward(data, 0, now)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 INTEREST = "interest"
 DATA = "data"
@@ -80,12 +79,13 @@ class Packet:
         return "-".join(map(str, self.nodes))
 
 
-def split_interest(prefix, paths, now: float, ids: Iterator[int], routes: Routes) -> list[Packet]:
+def split_interest(prefix, paths, now: float, first_id: int, routes: Routes) -> list[Packet]:
     """One interest packet per 8 MB chunk of the prefix's data object.
 
-    Chunks are dealt round-robin across ``paths``, cheapest first. Single mode
-    passes only the cheapest path, so every chunk takes it; multi mode passes
-    up to k, and degrades to single-path when only one loopless path exists.
+    Chunk ``c`` gets the packet id ``first_id + c``. Chunks are dealt
+    round-robin across ``paths``, cheapest first. Single mode passes only the
+    cheapest path, so every chunk takes it; multi mode passes up to k, and
+    degrades to single-path when only one loopless path exists.
     Each chunk's ``nodes`` is the tuple that ``routes``, the run's route
     table, holds for its path; a path not yet in the table is stored there.
     """
@@ -96,12 +96,12 @@ def split_interest(prefix, paths, now: float, ids: Iterator[int], routes: Routes
     packets = []
     for chunk in range(prefix.size_mb // CHUNK_SIZE_MB):
         route = routes[paths[chunk % len(paths)].nodes][0]
-        packets.append(Packet(next(ids), INTEREST, prefix.prefix_id, chunk, route, now))
+        packets.append(Packet(first_id + chunk, INTEREST, prefix.prefix_id, chunk, route, now))
     return packets
 
 
-def make_data_response(interest: Packet, node: int, ids: Iterator[int], routes: Routes) -> Packet:
-    """Data chunk answering an interest that reached its anchor, ``node``.
+def make_data_response(interest: Packet, node: int, packet_id: int, routes: Routes) -> Packet:
+    """Data chunk ``packet_id`` answering an interest that reached its anchor, ``node``.
 
     The route is the interest's route reversed: the tuple that ``routes``, the
     run's route table, holds for it, so responses on one route share it. An
@@ -113,5 +113,5 @@ def make_data_response(interest: Packet, node: int, ids: Iterator[int], routes: 
         raise RuntimeError(f"data response requested for a {interest.kind} packet")
     if node != interest.nodes[-1]:
         raise RuntimeError(f"data response requested at node {node}, not at the interest's anchor")
-    return Packet(next(ids), DATA, interest.prefix_id, interest.chunk_index,
+    return Packet(packet_id, DATA, interest.prefix_id, interest.chunk_index,
                   routes[interest.nodes][1], interest.created_s)

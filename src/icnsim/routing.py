@@ -67,15 +67,16 @@ def compute_cost_view(topology: Topology, idle: tuple[float, ...], loads,
                       epsilon_mbps: float) -> tuple[float, ...]:
     """Cost view: every channel's cost under ``loads``, indexed by channel id.
 
-    ``idle`` is ``idle_costs(topology, epsilon_mbps)``. ``loads`` holds
-    ``(channel_id, Mbps)`` pairs in any order, and channel ids are positions
-    in ``topology.channels``. Each channel not named keeps its idle cost,
+    ``idle`` is ``idle_costs(topology, epsilon_mbps)``. ``loads`` is a load
+    row in Mbps, indexed by channel id like ``topology.channels``, such as a
+    row of a run's load log. A channel with no load keeps its idle cost,
     which is exactly its cost under a load of 0.0.
     """
     costs = list(idle)
     channels = topology.channels
-    for channel_id, load in loads:
-        costs[channel_id] = channel_cost(channels[channel_id].capacity_mbps, load, epsilon_mbps)
+    for channel_id, load in enumerate(loads):
+        if load:
+            costs[channel_id] = channel_cost(channels[channel_id].capacity_mbps, load, epsilon_mbps)
     return tuple(costs)
 
 
@@ -275,12 +276,12 @@ class RouteSet:
     Entries are computed on first use and cached. Each entry is a pure
     function of the frozen cost view, so lazy evaluation is indistinguishable
     from an eager rebuild. The searches read their lower bounds from
-    ``bounds``, a ``LowerBounds`` whose floor the cost view dominates; the
-    bound changes which labels a search visits, never the paths it returns.
+    ``bounds``, a ``LowerBounds`` whose floor the cost view dominates, and
+    search its topology; the bound changes which labels a search visits,
+    never the paths it returns.
     """
 
-    def __init__(self, topology, costs, k, bounds):
-        self.topology = topology
+    def __init__(self, costs, k, bounds):
         self.costs = costs
         self.k = k
         self.bounds = bounds
@@ -298,20 +299,20 @@ class RouteSet:
         entry = self._entries.get(key)
         if entry is None:
             anchors, bound = self.bounds[prefix_id]
-            entry = tuple(_k_shortest(self.topology, self.costs, node, anchors, self.k, bound))
+            entry = tuple(_k_shortest(self.bounds.topology, self.costs, node, anchors, self.k, bound))
             self._entries[key] = entry
         return entry
 
 
-def rebuild_tables(topology: Topology, costs: tuple[float, ...], k: int,
-                   bounds: LowerBounds) -> tuple[RouteSet]:
+def rebuild_tables(costs: tuple[float, ...], k: int, bounds: LowerBounds) -> tuple[RouteSet]:
     """A fresh FIB snapshot for one cost view, as a 1-tuple ``(RouteSet,)``.
 
-    ``bounds`` supplies the searches' lower bounds. Its floor must be at most
-    ``costs`` on every channel, which keeps the bound consistent for this
-    view; a view below the floor anywhere raises ValueError, since the search
-    could then return paths that are not the cheapest. A simulation run
-    passes one ``LowerBounds`` over its idle costs to every table it builds.
+    ``bounds`` supplies the topology, whose channel ids index ``costs``, and
+    the searches' lower bounds. The bounds' floor must be at most ``costs``
+    on every channel, which keeps the bound consistent for this view; a view
+    below the floor anywhere raises ValueError, since the search could then
+    return paths that are not the cheapest. A simulation run passes one
+    ``LowerBounds`` over its idle costs to every table it builds.
 
     The tuple has one element only because the benchmark tracer in
     ``perfbench/spans.py`` reads ``result[0]``; it can return the
@@ -319,9 +320,7 @@ def rebuild_tables(topology: Topology, costs: tuple[float, ...], k: int,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if bounds.topology is not topology:
-        raise ValueError("bounds must be computed on the same topology")
     floor = bounds.floor
     if len(costs) != len(floor) or not all(map(ge, costs, floor)):
         raise ValueError("costs must be at least the bounds' floor on every channel")
-    return (RouteSet(topology, costs, k, bounds),)
+    return (RouteSet(costs, k, bounds),)

@@ -60,7 +60,7 @@ def test_criterion_1_k_shortest_paths_oracle_equivalence():
         src = seed % len(topology.nodes)
         targets = topology.prefixes[0].anchors
         for k in (1, 2, 3):
-            (fib,) = rebuild_tables(topology, view, k, LowerBounds(topology, view))
+            (fib,) = rebuild_tables(view, k, LowerBounds(topology, view))
             got = [(p.cost, p.nodes) for p in fib.paths(src, 0)]
             want = brute_force_k_paths(topology, view, src, targets, k)
             assert [n for _, n in got] == [n for _, n in want], (seed, k)

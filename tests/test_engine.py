@@ -292,13 +292,12 @@ def test_queue_holds_only_the_earliest_interest_at_the_start():
     topo, scenario = build_inputs(cfg)
     assert len(scenario) == 400
     sim = E.Simulation(cfg, topo, scenario)
-    # The end of the run, the first path update and the earliest interest.
-    assert len(sim.queue.heap) == 3
+    # The first path update and the earliest interest.
+    assert len(sim._heap) == 2
     earliest = min(range(len(scenario)), key=lambda i: (scenario[i].time_s, i))
-    assert sorted(sim.queue.heap) == [
-        (0.0, 1, E.PATH_UPDATE, None),
-        (scenario[earliest].time_s, 2 + earliest, E.INIT_INTEREST, scenario[earliest]),
-        (cfg.horizon_s, 0, E.END_OF_RUN, None),
+    assert sorted(sim._heap) == [
+        (0.0, 0, E.PATH_UPDATE, None),
+        (scenario[earliest].time_s, 1 + earliest, E.INIT_INTEREST, scenario[earliest]),
     ]
 
 
@@ -346,6 +345,23 @@ def test_interest_near_horizon_left_unterminated():
     assert all(r.terminated_s is None for r in unterminated)
 
 
+@pytest.mark.parametrize("past", [False, True], ids=["due-at-horizon", "due-a-float-before-horizon"])
+def test_delivery_at_the_horizon_is_cut(past):
+    # The run ends at the first pop at or past the horizon without handling
+    # it: a data chunk due at exactly the horizon stays unterminated, and is
+    # delivered when the horizon is one float later.
+    topo = two_node_topology(capacity=512.0, size_mb=8)
+    done = (1.0 + P.INTEREST_SIZE_BITS / 512e6) + P.DATA_SIZE_BITS / 512e6
+    horizon = math.nextafter(done, math.inf) if past else done
+    (_, packets), _ = run_with_reference(short_config(horizon_s=horizon), topo,
+                                         [E.InterestEvent(1.0, 0, 0)])
+    (data,) = [p for p in packets if p.kind == P.DATA]
+    if past:
+        assert (data.outcome, data.terminated_s) == (P.DELIVERED, done)
+    else:
+        assert (data.outcome, data.terminated_s) == (P.UNTERMINATED, None)
+
+
 def test_multi_mode_single_path_degradation():
     _, records = E.run(short_config(mode=P.MODE_MULTI), two_node_topology(), [E.InterestEvent(1.0, 0, 0)])
     assert all(r.route in ("0-1", "1-0") for r in records)
@@ -360,7 +376,7 @@ def test_multi_mode_single_path_degradation():
     E.InterestEvent(1.0, 0, -1),
     E.InterestEvent(float("nan"), 0, 0),
     E.InterestEvent(-1.0, 0, 0),
-    # END_OF_RUN pops first at the horizon (40 s), so these would vanish.
+    # The run ends at the first pop at or past the horizon (40 s), so these would vanish.
     E.InterestEvent(40.0, 0, 0),
     E.InterestEvent(41.0, 0, 0),
 ], ids=["consumer-is-anchor", "consumer-past-last-node", "negative-consumer",

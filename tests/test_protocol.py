@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,32 +23,31 @@ def test_sizes_are_exact():
 
 
 def test_single_chunk_object():
-    packets = P.split_interest(Prefix(0, 8, (4,)), [P0], 1.0, itertools.count(), P.Routes())
+    packets = P.split_interest(Prefix(0, 8, (4,)), [P0], 1.0, 0, P.Routes())
     assert len(packets) == 1
     assert packets[0].nodes == P0.nodes
 
 
 def test_multi_round_robin_over_eight_chunks():
-    packets = P.split_interest(Prefix(0, 64, (4,)), [P0, P1, P2], 0.0, itertools.count(), P.Routes())
+    packets = P.split_interest(Prefix(0, 64, (4,)), [P0, P1, P2], 0.0, 0, P.Routes())
     assert [p.nodes for p in packets] == [
         P0.nodes, P1.nodes, P2.nodes, P0.nodes, P1.nodes, P2.nodes, P0.nodes, P1.nodes]
     assert [p.chunk_index for p in packets] == list(range(8))
 
 
 def test_single_mode_pins_all_chunks_to_best_path():
-    packets = P.split_interest(Prefix(0, 24, (4,)), [P0], 0.0, itertools.count(), P.Routes())
+    packets = P.split_interest(Prefix(0, 24, (4,)), [P0], 0.0, 0, P.Routes())
     assert len(packets) == 3
     assert all(p.nodes == P0.nodes for p in packets)
 
 
 def test_multi_mode_with_one_path_degrades_to_single():
-    packets = P.split_interest(Prefix(0, 24, (4,)), [P1], 0.0, itertools.count(), P.Routes())
+    packets = P.split_interest(Prefix(0, 24, (4,)), [P1], 0.0, 0, P.Routes())
     assert all(p.nodes == P1.nodes for p in packets)
 
 
 def test_packet_fields():
-    ids = itertools.count(100)
-    packets = P.split_interest(Prefix(3, 16, (4,)), [P0], 2.5, ids, P.Routes())
+    packets = P.split_interest(Prefix(3, 16, (4,)), [P0], 2.5, 100, P.Routes())
     assert [p.packet_id for p in packets] == [100, 101]
     for p in packets:
         assert p.kind == P.INTEREST
@@ -60,62 +58,62 @@ def test_packet_fields():
 
 def test_chunk_sizes_cover_object():
     prefix = Prefix(0, 56, (4,))
-    packets = P.split_interest(prefix, [P0], 0.0, itertools.count(), P.Routes())
+    packets = P.split_interest(prefix, [P0], 0.0, 0, P.Routes())
     assert len(packets) * P.CHUNK_SIZE_MB == prefix.size_mb
 
 
 def test_empty_paths_raises():
     with pytest.raises(P.RouteUnavailableError):
-        P.split_interest(Prefix(0, 8, (4,)), [], 0.0, itertools.count(), P.Routes())
+        P.split_interest(Prefix(0, 8, (4,)), [], 0.0, 0, P.Routes())
 
 
 def terminal_interest(route=(3, 5, 7), chunk=2, created=1.25):
     return P.Packet(0, P.INTEREST, 9, chunk, route, created_s=created)
 
 
-def respond(interest, ids, routes):
+def respond(interest, packet_id, routes):
     """The data response at the interest's anchor."""
-    return P.make_data_response(interest, interest.nodes[-1], ids, routes)
+    return P.make_data_response(interest, interest.nodes[-1], packet_id, routes)
 
 
 def test_data_response_reverses_route():
-    data = respond(terminal_interest(), itertools.count(1), P.Routes())
+    data = respond(terminal_interest(), 1, P.Routes())
     assert data.nodes == (7, 5, 3)
     assert data.kind == P.DATA
+    assert data.packet_id == 1
 
 
 def test_data_response_preserves_identity_and_clock():
     interest = terminal_interest(chunk=2, created=1.25)
-    data = respond(interest, itertools.count(1), P.Routes())
+    data = respond(interest, 1, P.Routes())
     assert data.prefix_id == interest.prefix_id
     assert data.chunk_index == 2
     assert data.created_s == 1.25
 
 
 def test_data_response_for_pair_route():
-    data = respond(terminal_interest(route=(3, 7)), itertools.count(1), P.Routes())
+    data = respond(terminal_interest(route=(3, 7)), 1, P.Routes())
     assert data.nodes == (7, 3)
 
 
 def test_data_response_requires_terminal_interest():
     for node in (3, 5):
         with pytest.raises(RuntimeError):
-            P.make_data_response(terminal_interest(), node, itertools.count(), P.Routes())
-    data = respond(terminal_interest(), itertools.count(1), P.Routes())
+            P.make_data_response(terminal_interest(), node, 0, P.Routes())
+    data = respond(terminal_interest(), 1, P.Routes())
     with pytest.raises(RuntimeError):
-        respond(data, itertools.count(), P.Routes())
+        respond(data, 2, P.Routes())
 
 
 def test_responses_on_one_route_share_its_reversed_tuple():
     routes = P.Routes()
-    ids = itertools.count()
-    first = respond(terminal_interest(route=(3, 5, 7)), ids, routes)
-    second = respond(terminal_interest(route=tuple([3, 5, 7])), ids, routes)
+    first = respond(terminal_interest(route=(3, 5, 7)), 1, routes)
+    second = respond(terminal_interest(route=tuple([3, 5, 7])), 2, routes)
     assert first.nodes == (7, 5, 3)
     assert second.nodes is first.nodes
     # Interests on equal paths of different tables share the stored route too.
-    chunks = [P.split_interest(Prefix(0, 8, (7,)), [path(3, 5, 7)], 0.0, ids, routes)[0]
-              for _ in range(2)]
+    chunks = [P.split_interest(Prefix(0, 8, (7,)), [path(3, 5, 7)], 0.0, first_id, routes)[0]
+              for first_id in (3, 4)]
     assert chunks[0].nodes is chunks[1].nodes is next(iter(routes))
 
 

@@ -21,7 +21,7 @@ def unit_costs(topology):
 
 def own_tables(topology, costs, k):
     """Tables for one view, bounded under that view itself: the exact bound."""
-    (fib,) = R.rebuild_tables(topology, costs, k, R.LowerBounds(topology, costs))
+    (fib,) = R.rebuild_tables(costs, k, R.LowerBounds(topology, costs))
     return fib
 
 
@@ -70,7 +70,7 @@ def test_channel_cost_monotone_in_load(capacity, load_a, load_b):
 
 def test_cost_view_idle():
     topo = triangle()
-    view = R.compute_cost_view(topo, R.idle_costs(topo, EPS), [], EPS)
+    view = R.compute_cost_view(topo, R.idle_costs(topo, EPS), [0.0] * len(topo.channels), EPS)
     for ch in topo.channels:
         assert view[ch.channel_id] == 1.0 / ch.capacity_mbps
 
@@ -78,47 +78,46 @@ def test_cost_view_idle():
 def test_cost_view_single_loaded_channel():
     topo = T.make_topology(2, [(0, 1, 2048.0)], [T.Prefix(0, 8, (1,))])
     loaded = topo.channel(0, 1).channel_id
-    view = R.compute_cost_view(topo, R.idle_costs(topo, EPS), [(loaded, 1024.0)], EPS)
+    loads = [0.0] * len(topo.channels)
+    loads[loaded] = 1024.0
+    view = R.compute_cost_view(topo, R.idle_costs(topo, EPS), loads, EPS)
     assert view[loaded] == 1.0 / 1024.0
     assert view[topo.channel(1, 0).channel_id] == 1.0 / 2048.0
 
 
 def test_cost_view_saturated_channel_clamps():
     topo = T.make_topology(2, [(0, 1, 512.0)], [T.Prefix(0, 8, (1,))])
-    view = R.compute_cost_view(topo, R.idle_costs(topo, EPS),
-                               [(ch.channel_id, 512.0) for ch in topo.channels], EPS)
+    view = R.compute_cost_view(topo, R.idle_costs(topo, EPS), [512.0] * len(topo.channels), EPS)
     assert all(c == 1.0 for c in view)
 
 
 @st.composite
-def measured_loads(draw):
-    """A topology, epsilon, and loads measured on some channels, listed in any order.
+def load_rows(draw):
+    """A topology, epsilon, and a load row indexed by channel id.
 
-    Loads include exact 0.0 (a channel that is measured but idle at the
-    update) and loads at or above capacity - epsilon, where the cost clamps.
+    Loads include exact 0.0 (a channel idle at the update, which keeps its
+    idle cost) and loads at or above capacity - epsilon, where the cost clamps.
     """
     nodes = draw(st.integers(2, 12))
     edges = draw(st.integers(nodes - 1, nodes * (nodes - 1) // 2))
     topology = T.generate_topology(nodes, edges, 3, random.Random(draw(st.integers(0, 10_000))))
     epsilon = draw(st.sampled_from([EPS, 0.5, 2.0, 37.5]))
-    loads = {}
+    loads = [0.0] * len(topology.channels)
     for ch in topology.channels:
         cap = ch.capacity_mbps
         loads[ch.channel_id] = draw(st.one_of(
-            st.none(), st.just(0.0), st.floats(0.0, cap),
+            st.just(0.0), st.floats(0.0, cap),
             st.sampled_from([cap - epsilon, cap]), st.floats(cap - epsilon, cap)))
-    measured = [(cid, load) for cid, load in loads.items() if load is not None]
-    return topology, epsilon, draw(st.permutations(measured))
+    return topology, epsilon, loads
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=measured_loads())
+@given(case=load_rows())
 def test_cost_view_from_idle_base_equals_full_view(case):
-    topology, epsilon, measured = case
-    by_channel = dict(measured)
-    full = tuple(R.channel_cost(ch.capacity_mbps, by_channel.get(ch.channel_id, 0.0), epsilon)
+    topology, epsilon, loads = case
+    full = tuple(R.channel_cost(ch.capacity_mbps, loads[ch.channel_id], epsilon)
                  for ch in topology.channels)
-    view = R.compute_cost_view(topology, R.idle_costs(topology, epsilon), measured, epsilon)
+    view = R.compute_cost_view(topology, R.idle_costs(topology, epsilon), loads, epsilon)
     assert view == full
 
 
@@ -224,7 +223,7 @@ def test_first_target_pushed_does_not_win_unchecked(graph, floor, k):
     # to its own cost plus bound, and a label at that limit is still searched.
     (topology, view), want = FIRST_TARGET_PUSHED_LOSES[graph]
     bounds = R.LowerBounds(topology, view if floor == "own" else (0.0,) * len(view))
-    (fib,) = R.rebuild_tables(topology, view, k, bounds)
+    (fib,) = R.rebuild_tables(view, k, bounds)
     assert [(p.nodes, p.cost) for p in fib.paths(0, 0)] == want[:k]
     assert_matches_brute_force(topology, fib, view, 0, k)
 
@@ -338,9 +337,9 @@ def floored_case(draw):
         floor = tuple(c * scale for c in view)
     else:
         floor = R.idle_costs(topology, EPS)
-        loads = [(ch.channel_id, draw(st.one_of(
+        loads = [draw(st.one_of(
                      st.just(0.0), st.floats(0.0, ch.capacity_mbps),
-                     st.floats(ch.capacity_mbps - EPS, ch.capacity_mbps))))
+                     st.floats(ch.capacity_mbps - EPS, ch.capacity_mbps)))
                  for ch in topology.channels]
         view = R.compute_cost_view(topology, floor, loads, EPS)
     src = draw(st.integers(0, len(topology.nodes) - 1))
@@ -357,7 +356,7 @@ def test_weaker_floor_matches_brute_force(case):
     topology, floor, view, src, k = case
     bounds = R.LowerBounds(topology, floor)
     for costs in (view, floor):
-        (fib,) = R.rebuild_tables(topology, costs, k, bounds)
+        (fib,) = R.rebuild_tables(costs, k, bounds)
         assert_matches_brute_force(topology, fib, costs, src, k)
 
 
@@ -369,7 +368,7 @@ def test_weaker_floor_matches_brute_force_with_ties(case, data):
     topology, view, src, k = case
     floor = tuple(data.draw(st.sampled_from([f for f in (0.25, 0.5, 1.0) if f <= c]))
                   for c in view)
-    (fib,) = R.rebuild_tables(topology, view, k, R.LowerBounds(topology, floor))
+    (fib,) = R.rebuild_tables(view, k, R.LowerBounds(topology, floor))
     assert_matches_brute_force(topology, fib, view, src, k)
 
 
@@ -381,14 +380,12 @@ def test_rebuild_rejects_a_view_below_the_floor(channel_id):
     view = list(floor)
     view[channel_id] = math.nextafter(view[channel_id], 0.0)
     with pytest.raises(ValueError, match="floor"):
-        R.rebuild_tables(topo, tuple(view), 3, bounds)
-    R.rebuild_tables(topo, floor, 3, bounds)
+        R.rebuild_tables(tuple(view), 3, bounds)
+    R.rebuild_tables(floor, 3, bounds)
 
 
 def test_rebuild_rejects_bounds_of_another_shape():
     topo = triangle()
     floor = R.idle_costs(topo, EPS)
     with pytest.raises(ValueError, match="floor"):
-        R.rebuild_tables(topo, floor[:-1], 3, R.LowerBounds(topo, floor))
-    with pytest.raises(ValueError, match="topology"):
-        R.rebuild_tables(topo, floor, 3, R.LowerBounds(triangle(), floor))
+        R.rebuild_tables(floor[:-1], 3, R.LowerBounds(topo, floor))
