@@ -69,9 +69,10 @@ of them up at run time. Untraced, ``EventQueue.pop`` is ``heapq.heappop``
 itself, which the run reads off the class when it starts and calls on the
 heap.
 
-A packet's object is its log record. It joins the log when it is created, as
-``Unterminated`` until a delivery or drop ends it, and its id is its position
-in the log: the log's length when it is created. Routes are
+A packet's object is kept in the run's ``metrics.PacketLog``. It joins the
+log when it is created, as ``Unterminated`` until a delivery or drop ends it.
+It stores neither its id nor its kind: its id is its position in the log, and
+its kind is its class, ``protocol.Interest`` or ``protocol.Data``. Routes are
 shared per run: every packet on a route holds the same ``nodes`` tuple, and
 every data packet answering it the same reversed tuple, from the run's route
 table (see ``protocol.Routes``).
@@ -116,6 +117,11 @@ def collector_paused(work, *args):
 
 class SimulationError(RuntimeError):
     """Internal inconsistency; indicates a bug, not a modeled outcome."""
+
+
+def _described(packet) -> str:
+    """A packet named by what it stores, for an error message."""
+    return f"{packet.kind} packet on route {packet.nodes} created at {packet.created_s}"
 
 
 class InterestEvent(NamedTuple):
@@ -201,7 +207,7 @@ class Simulation:
         # Read on every hop, so kept off the config.
         self._buffer_packets = config.buffer_packets
         self._propagation_delay_s = config.propagation_delay_s
-        self.packets: list[protocol.Packet] = []
+        self.packet_log = metrics.PacketLog()
         # Each route once per run, with its reverse, for every packet on it.
         self._routes = protocol.Routes()
         self.load_log = metrics.LoadLog()
@@ -233,7 +239,7 @@ class Simulation:
             heapq.heappush(heap, pending.pop())
 
     def run(self):
-        """Handle events up to the horizon; returns (load_log, packets).
+        """Handle events up to the horizon; returns (load_log, packet_log).
 
         The cyclic collector is off while events are handled, since a run
         makes no reference cycles, and is turned back on afterwards only if
@@ -255,7 +261,7 @@ class Simulation:
             if now >= horizon:
                 break
             handlers[kind](now, payload)
-        return self.load_log, self.packets
+        return self.load_log, self.packet_log
 
     # -- event handlers -------------------------------------------------
 
@@ -298,8 +304,8 @@ class Simulation:
             tables = self.tables = self._build_tables()
         prefix = self.topology.prefixes[interest.prefix_id]
         paths = tables.paths(interest.consumer, interest.prefix_id)
-        packets = protocol.split_interest(prefix, paths, now, len(self.packets), self._routes)
-        self.packets.extend(packets)
+        packets = protocol.split_interest(prefix, paths, now, self._routes)
+        self.packet_log.packets.extend(packets)
         for packet in packets:
             self._forward(packet, 0, now)
 
@@ -338,11 +344,9 @@ class Simulation:
         try:
             hop = route.index(node)
         except ValueError:
-            raise SimulationError(
-                f"packet {packet.packet_id} received at node {node}, off its route") from None
+            raise SimulationError(f"{_described(packet)} received at node {node}, off its route") from None
         if not hop:
-            raise SimulationError(
-                f"packet {packet.packet_id} received at node {node}, its route's source")
+            raise SimulationError(f"{_described(packet)} received at node {node}, its route's source")
         if hop < len(route) - 1:
             self._forward(packet, hop, now)
             return
@@ -350,8 +354,8 @@ class Simulation:
         packet.terminated_s = now
         if packet.kind == protocol.INTEREST:
             # Anchor reached: answer with a data chunk on the reversed route.
-            data = protocol.make_data_response(packet, node, len(self.packets), self._routes)
-            self.packets.append(data)
+            data = protocol.make_data_response(packet, node, self._routes)
+            self.packet_log.packets.append(data)
             self._forward(data, 0, now)
 
     # -- channel mechanics ----------------------------------------------
@@ -379,7 +383,7 @@ class Simulation:
 
 
 def run(config, topology, interests):
-    """Run one simulation; returns (load_log, packets), packets in packet-id order.
+    """Run one simulation; returns its ``metrics.LoadLog`` and ``metrics.PacketLog``.
 
     Of ``config`` it reads and checks only the run settings (``validate_run``);
     the topology and interests stand in for its scenario settings. Raises

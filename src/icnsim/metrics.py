@@ -41,6 +41,62 @@ class LoadLog:
                 yield LoadSample(t, channel_id, load)
 
 
+class PacketRecord(NamedTuple):
+    """One packet of a run as ``packets.csv`` reports it; ``packet_id`` is its log position."""
+
+    packet_id: int
+    kind: str
+    prefix_id: int
+    chunk_index: int
+    nodes: tuple[int, ...]
+    created_s: float
+    terminated_s: float | None
+    outcome: str
+
+    @property
+    def src(self) -> int:
+        return self.nodes[0]
+
+    @property
+    def dst(self) -> int:
+        return self.nodes[-1]
+
+    @property
+    def route(self) -> str:
+        """The route as node ids joined by ``-``."""
+        return "-".join(map(str, self.nodes))
+
+
+@dataclass
+class PacketLog:
+    """A run's packets (``protocol.Packet``), in id order: a packet's id is its position.
+
+    ``packets`` holds the packets themselves, which store no id. ``len``,
+    iteration and indexing give ``PacketRecord`` views, built on each read;
+    ``==`` compares the packets.
+    """
+
+    packets: list[protocol.Packet] = field(default_factory=list)
+
+    def __len__(self):
+        return len(self.packets)
+
+    def __iter__(self):
+        return _records(0, self.packets)
+
+    def __getitem__(self, index: int) -> PacketRecord:
+        packet_id = range(len(self.packets))[index]
+        return next(_records(packet_id, self.packets[packet_id:packet_id + 1]))
+
+
+def _records(first_id: int, packets):
+    """Records of ``packets``, numbered from ``first_id``."""
+    make = PacketRecord._make
+    for packet_id, p in enumerate(packets, first_id):
+        yield make((packet_id, p.kind, p.prefix_id, p.chunk_index, p.nodes, p.created_s,
+                    p.terminated_s, p.outcome))
+
+
 @dataclass
 class RunSummary:
     run_id: str
@@ -79,13 +135,13 @@ def histogram(delivery_times, bin_width: float) -> list[tuple[float, int]]:
     return [(i * bin_width, counts[i]) for i in sorted(counts)]
 
 
-def delivery_times(packet_log) -> list[float]:
+def delivery_times(packet_log: PacketLog) -> list[float]:
     """Creation-to-arrival time of every delivered data chunk, in log order."""
-    return [r.terminated_s - r.created_s for r in packet_log
-            if r.kind == protocol.DATA and r.outcome == protocol.DELIVERED]
+    return [p.terminated_s - p.created_s for p in packet_log.packets
+            if p.kind == protocol.DATA and p.outcome == protocol.DELIVERED]
 
 
-def summarize(load_log: LoadLog, packet_log, delays: list[float], warmup_end: float,
+def summarize(load_log: LoadLog, packet_log: PacketLog, delays: list[float], warmup_end: float,
               cooldown_start: float, *, run_id: str = "", mode: str = "", interest_count: int = 0,
               seed: int = 0) -> RunSummary:
     """Run statistics.
@@ -119,14 +175,15 @@ def summarize(load_log: LoadLog, packet_log, delays: list[float], warmup_end: fl
     else:
         offered = avg = std = 0.0
 
-    outcomes = Counter(r.outcome for r in packet_log)
+    outcomes = Counter(p.outcome for p in packet_log.packets)
     avg_delivery = fsum(delays) / len(delays) if delays else None
     return RunSummary(run_id, mode, interest_count, seed, avg_delivery,
                       outcomes[protocol.DELIVERED], outcomes[protocol.DROPPED],
                       outcomes[protocol.UNTERMINATED], offered, avg, std)
 
 
-def write_csv(topology, load_log: LoadLog, packet_log, summary: RunSummary, out_dir) -> list[Path]:
+def write_csv(topology, load_log: LoadLog, packet_log: PacketLog, summary: RunSummary,
+              out_dir) -> list[Path]:
     """Write loads.csv, packets.csv, and summary.csv under out_dir, rows in the order given.
 
     Each path update's loads are formatted by one ``%`` call: a template per
@@ -136,10 +193,10 @@ def write_csv(topology, load_log: LoadLog, packet_log, summary: RunSummary, out_
     run id is never part of the template, so a ``%`` in it is written as is,
     and a topology with no channel writes no load line.
 
-    The packet log is in packet-id order, as ``engine.run`` returns it. Routes
-    repeat heavily, so each distinct route's ``src,dst`` and ``-``-joined
-    columns are formatted once and cached by its ``nodes`` tuple; the rows are
-    still streamed, never held as one list.
+    A packet's id is its position in the packet log. Routes repeat heavily,
+    so each distinct route's ``src,dst`` and ``-``-joined columns are
+    formatted once and cached by its ``nodes`` tuple; the rows are still
+    streamed, never held as one list.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -172,27 +229,28 @@ def write_csv(topology, load_log: LoadLog, packet_log, summary: RunSummary, out_
 def _packet_rows(run_id, packet_log):
     """``packets.csv`` rows, each route's columns and each created time formatted once.
 
-    An interest's chunks and the data packets answering them share one
-    created time, so the formatted times are cached by value. Zero is never
-    cached: ``-0.0 == 0.0`` as a key, yet an interest at ``-0.0`` prints
-    ``-0.000000``, so each zero is formatted with its own sign.
+    A row's packet id is its packet's position in the log. An interest's
+    chunks and the data packets answering them share one created time, so the
+    formatted times are cached by value. Zero is never cached: ``-0.0 == 0.0``
+    as a key, yet an interest at ``-0.0`` prints ``-0.000000``, so each zero
+    is formatted with its own sign.
     """
     routes: dict[tuple[int, ...], tuple[str, str]] = {}
     times: dict[float, str] = {}
-    for r in packet_log:
-        nodes = r.nodes
+    for packet_id, p in enumerate(packet_log.packets):
+        nodes = p.nodes
         route = routes.get(nodes)
         if route is None:
-            route = routes[nodes] = (f"{r.src},{r.dst}", r.route)
-        created_s = r.created_s
+            route = routes[nodes] = (f"{nodes[0]},{nodes[-1]}", "-".join(map(str, nodes)))
+        created_s = p.created_s
         created = times.get(created_s)
         if created is None:
             created = f"{created_s:.6f}"
             if created_s:
                 times[created_s] = created
-        terminated = "" if r.terminated_s is None else f"{r.terminated_s:.6f}"
-        yield (f"{run_id},{r.packet_id},{r.kind},{r.prefix_id},{r.chunk_index},{route[0]},"
-               f"{created},{terminated},{r.outcome},{route[1]}\n")
+        terminated = "" if p.terminated_s is None else f"{p.terminated_s:.6f}"
+        yield (f"{run_id},{packet_id},{p.kind},{p.prefix_id},{p.chunk_index},{route[0]},"
+               f"{created},{terminated},{p.outcome},{route[1]}\n")
 
 
 def write_histogram(bins, path) -> Path:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 INTEREST = "interest"
 DATA = "data"
@@ -46,18 +47,18 @@ class RouteUnavailableError(ValueError):
 
 @dataclass(slots=True)
 class Packet:
-    """One interest or data unit carrying its full source route; also its log record.
+    """One interest or data unit carrying its full source route.
 
-    Its fields are what ``packets.csv`` reports; ``src``, ``dst`` and
-    ``route`` are derived from ``nodes``. Routes are frozen at creation, so
-    later cost changes never reroute a packet, and loopless, so the hop a
-    packet has reached is the index of its node in ``nodes``: nothing changes
-    in flight until a delivery or drop ends the packet. Its size is its kind's:
-    ``INTEREST_SIZE_BITS`` or ``DATA_SIZE_BITS``.
+    A packet is an ``Interest`` or a ``Data``, and its class is its kind: the
+    class attribute ``kind`` is ``INTEREST`` or ``DATA``. Its size is its
+    kind's, ``INTEREST_SIZE_BITS`` or ``DATA_SIZE_BITS``, and its id is its
+    position in the run's packet log (``metrics.PacketLog``), so it stores
+    only what varies between packets. Routes are frozen at creation, so later
+    cost changes never reroute a packet, and loopless, so the hop a packet has
+    reached is the index of its node in ``nodes``: nothing changes in flight
+    until a delivery or drop ends the packet.
     """
 
-    packet_id: int
-    kind: str
     prefix_id: int
     chunk_index: int
     nodes: tuple[int, ...]
@@ -65,27 +66,26 @@ class Packet:
     terminated_s: float | None = None
     outcome: str = UNTERMINATED
 
-    @property
-    def src(self) -> int:
-        return self.nodes[0]
 
-    @property
-    def dst(self) -> int:
-        return self.nodes[-1]
-
-    @property
-    def route(self) -> str:
-        """The route as node ids joined by ``-``, formatted on each read."""
-        return "-".join(map(str, self.nodes))
+# Each kind is a dataclass of its own, so each gets its own generated
+# ``__init__``. CPython 3.11 specializes an attribute store for one class, and
+# one ``__init__`` shared by both kinds would miss on about half the packets.
+@dataclass(slots=True)
+class Interest(Packet):
+    kind: ClassVar[str] = INTEREST
 
 
-def split_interest(prefix, paths, now: float, first_id: int, routes: Routes) -> list[Packet]:
+@dataclass(slots=True)
+class Data(Packet):
+    kind: ClassVar[str] = DATA
+
+
+def split_interest(prefix, paths, now: float, routes: Routes) -> list[Interest]:
     """One interest packet per 8 MB chunk of the prefix's data object.
 
-    Chunk ``c`` gets the packet id ``first_id + c``. Chunks are dealt
-    round-robin across ``paths``, cheapest first. Single mode passes only the
-    cheapest path, so every chunk takes it; multi mode passes up to k, and
-    degrades to single-path when only one loopless path exists.
+    Chunks are dealt round-robin across ``paths``, cheapest first. Single mode
+    passes only the cheapest path, so every chunk takes it; multi mode passes
+    up to k, and degrades to single-path when only one loopless path exists.
     Each chunk's ``nodes`` is the tuple that ``routes``, the run's route
     table, holds for its path; a path not yet in the table is stored there.
     """
@@ -96,12 +96,12 @@ def split_interest(prefix, paths, now: float, first_id: int, routes: Routes) -> 
     packets = []
     for chunk in range(prefix.size_mb // CHUNK_SIZE_MB):
         route = routes[paths[chunk % len(paths)].nodes][0]
-        packets.append(Packet(first_id + chunk, INTEREST, prefix.prefix_id, chunk, route, now))
+        packets.append(Interest(prefix.prefix_id, chunk, route, now))
     return packets
 
 
-def make_data_response(interest: Packet, node: int, packet_id: int, routes: Routes) -> Packet:
-    """Data chunk ``packet_id`` answering an interest that reached its anchor, ``node``.
+def make_data_response(interest: Packet, node: int, routes: Routes) -> Data:
+    """The data chunk answering an interest that reached its anchor, ``node``.
 
     The route is the interest's route reversed: the tuple that ``routes``, the
     run's route table, holds for it, so responses on one route share it. An
@@ -113,5 +113,4 @@ def make_data_response(interest: Packet, node: int, packet_id: int, routes: Rout
         raise RuntimeError(f"data response requested for a {interest.kind} packet")
     if node != interest.nodes[-1]:
         raise RuntimeError(f"data response requested at node {node}, not at the interest's anchor")
-    return Packet(packet_id, DATA, interest.prefix_id, interest.chunk_index,
-                  routes[interest.nodes][1], interest.created_s)
+    return Data(interest.prefix_id, interest.chunk_index, routes[interest.nodes][1], interest.created_s)

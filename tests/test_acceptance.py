@@ -128,11 +128,11 @@ def test_criterion_6_physical_bounds(counted_runs):
             assert s.load_mbps <= capacity[s.channel_id] * (1 + 1e-9), (count, s)
 
     # Serialization delay spot checks: delay = size / capacity exactly.
-    checks = ((P.DATA, 2048.0, 0.03125), (P.INTEREST, 512.0, 0.0015625))
+    checks = ((P.Data, 2048.0, 0.03125), (P.Interest, 512.0, 0.0015625))
     for kind, capacity, expected in checks:
         topo = make_topology(2, [(0, 1, capacity)], [Prefix(0, 8, (1,))])
         sim = E.Simulation(SimulationConfig(nodes=2, edges=1, prefixes=1), topo, [])
-        packet = P.Packet(0, kind, 0, 0, (0, 1))
+        packet = kind(0, 0, (0, 1))
         sim._forward(packet, 0, 0.0)
         _, end, _ = sim.channels[0].sent[0]
         assert end == expected
@@ -142,7 +142,7 @@ def test_criterion_6_physical_bounds(counted_runs):
 
 
 def test_criterion_7_warmup_cooldown_exclusion():
-    from icnsim.metrics import LoadLog, summarize
+    from icnsim.metrics import LoadLog, PacketLog, summarize
 
     def with_edges(before, after):
         # Two channels at 10 and 20 Mbps at t=100/500/900, plus a full row at
@@ -152,16 +152,16 @@ def test_criterion_7_warmup_cooldown_exclusion():
         return LoadLog(times, rows)
 
     base = LoadLog([100.0, 500.0, 900.0], [[10.0, 20.0] for _ in range(3)])
-    reference = summarize(base, [], [], 50.0, 950.0)
+    reference = summarize(base, PacketLog(), [], 50.0, 950.0)
 
     excluded = with_edges(49.9, 950.0)
-    unchanged = summarize(excluded, [], [], 50.0, 950.0)
+    unchanged = summarize(excluded, PacketLog(), [], 50.0, 950.0)
     same = (unchanged.offered_load_mbps == reference.offered_load_mbps
             and unchanged.avg_load_mbps == reference.avg_load_mbps
             and unchanged.std_load_mbps == reference.std_load_mbps)
 
     included = with_edges(50.0, 949.9)
-    changed = summarize(included, [], [], 50.0, 950.0)
+    changed = summarize(included, PacketLog(), [], 50.0, 950.0)
     differs = (changed.offered_load_mbps != reference.offered_load_mbps
                and changed.avg_load_mbps != reference.avg_load_mbps
                and changed.std_load_mbps != reference.std_load_mbps)

@@ -1,5 +1,4 @@
 import gc
-import itertools
 import math
 import re
 import weakref
@@ -22,6 +21,8 @@ from oracles import check_conservation, history_busy_seconds, reference_run
 def two_node_topology(capacity=1024.0, size_mb=16):
     return make_topology(2, [(0, 1, capacity)], [Prefix(0, size_mb, (1,))])
 
+
+KINDS = {P.INTEREST: P.Interest, P.DATA: P.Data}
 
 RECORD = attrgetter("packet_id", "kind", "prefix_id", "chunk_index", "nodes", "created_s",
                     "terminated_s", "outcome")
@@ -60,7 +61,7 @@ def short_config(**overrides):
 def test_serialization_delay(kind, capacity, expected):
     sim = E.Simulation(short_config(), two_node_topology(capacity=capacity), [])
     state = sim.channels[0]
-    sim._forward(P.Packet(0, kind, 0, 0, (0, 1)), 0, 0.0)
+    sim._forward(KINDS[kind](0, 0, (0, 1)), 0, 0.0)
     start, end, _ = state.sent[0]
     assert end - start == expected
 
@@ -232,12 +233,11 @@ def test_channel_busy_across_a_whole_window_logs_exactly_capacity():
 def test_tail_drop_at_buffer_capacity():
     sim = E.Simulation(short_config(), two_node_topology(), [])
     state = sim.channels[0]
-    packets = [P.Packet(i, P.INTEREST, 0, 0, (0, 1)) for i in range(65)]
+    packets = [P.Interest(0, 0, (0, 1)) for _ in range(65)]
     for packet in packets:
         sim._forward(packet, 0, 0.0)
     assert len(state.queue) == 64
-    dropped = [p for p in packets if p.outcome == P.DROPPED]
-    assert [p.packet_id for p in dropped] == [64]
+    assert [i for i, p in enumerate(packets) if p.outcome == P.DROPPED] == [64]
 
 
 def test_drops_recorded_in_full_run():
@@ -274,7 +274,7 @@ def test_channel_is_fifo():
 
 def test_no_interests_means_empty_packet_log():
     load_log, records = E.run(short_config(), two_node_topology(), [])
-    assert records == []
+    assert len(records) == 0 and records == M.PacketLog()
     assert len(load_log) == 2 * 40 * 5       # two channels, 5 updates/s, horizon 40
     assert all(s.load_mbps == 0.0 for s in load_log)
 
@@ -514,7 +514,7 @@ def test_receive_at_wrong_node_is_fatal():
     # route (node 2).
     topo = make_topology(3, [(0, 1, 1024.0), (1, 2, 1024.0)], [Prefix(0, 8, (2,))])
     sim = E.Simulation(short_config(), topo, [])
-    packet = P.Packet(0, P.INTEREST, 0, 0, (0, 1))
+    packet = P.Interest(0, 0, (0, 1))
     for node, reason in ((0, "source"), (2, "off its route")):
         with pytest.raises(E.SimulationError, match=reason):
             sim._handle_receive(0.0, (node, packet))
@@ -593,6 +593,18 @@ def tied_runs(draw):
     return cfg, topo, interests
 
 
+def perfbench_module(name):
+    """``perfbench/<name>.py``, loaded by path: the benchmark is not a package."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="module")
 def traced_mesh():
     # perfbench/spans.py wraps icnsim callables by name, counts events by
@@ -600,14 +612,8 @@ def traced_mesh():
     # protocol.make_data_response on its module, and reads the first element
     # of what rebuild_tables returns. One buffer-2 mesh run under the real
     # Tracer backs both tests below.
-    import importlib.util
-    from pathlib import Path
-
     from icnsim.cli import build_inputs
-    spans_path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = perfbench_module("spans")
     cfg = mesh_config(buffer_packets=2)
     topo, scenario = build_inputs(cfg)
     tracer = spans.Tracer()
@@ -674,6 +680,25 @@ def test_benchmark_tracer_counts_every_load_sample(traced_mesh):
         for t in times)
     assert expected > 0
     assert tracer.sample_calls == expected
+
+
+@pytest.mark.parametrize("mode", [P.MODE_SINGLE, P.MODE_MULTI])
+def test_benchmark_audit_accepts_a_run(mode):
+    # perfbench/op.py audits every benchmark run with check_run, which
+    # iterates the packet log: each record's packet_id must rise strictly,
+    # and it reads kind, outcome, src, dst and route. A packet log that
+    # broke that contract would fail every benchmark operation.
+    from icnsim.cli import build_inputs
+    op = perfbench_module("op")
+    cfg = mesh_config(mode=mode, buffer_packets=2)
+    topo, scenario = build_inputs(cfg)
+    load_log, packet_log = E.run(cfg, topo, scenario)
+    counts = op.check_run(P, topo, load_log, packet_log)
+    outcomes = Counter(p.outcome for p in packet_log.packets)
+    assert counts["dropped"] == outcomes[P.DROPPED] > 0
+    assert (counts["records"], counts["delivered"], counts["unterminated"], counts["load_samples"]) == (
+        len(packet_log), outcomes[P.DELIVERED], outcomes[P.UNTERMINATED], len(load_log))
+    assert counts["delivered_data"] == len(M.delivery_times(packet_log))
 
 
 def mesh_config(**overrides):

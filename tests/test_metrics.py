@@ -12,17 +12,37 @@ from icnsim.topology import Prefix, Topology, make_topology
 from oracles import exact_sum
 
 
-def record(pid, kind=P.DATA, created=0.0, terminated=1.0, outcome=P.DELIVERED,
-           route="0-1", prefix=0, chunk=0):
-    """A terminated packet as the engine logs it."""
+KINDS = {P.INTEREST: P.Interest, P.DATA: P.Data}
+
+
+def record(kind=P.DATA, created=0.0, terminated=1.0, outcome=P.DELIVERED, route="0-1", prefix=0,
+           chunk=0):
+    """A terminated packet as the engine logs it; its position in a ``PacketLog`` is its id."""
     nodes = tuple(int(n) for n in route.split("-"))
-    return P.Packet(pid, kind, prefix, chunk, nodes, created, terminated, outcome)
+    return KINDS[kind](prefix, chunk, nodes, created, terminated, outcome)
 
 
 def written(packets):
     """The ten packets.csv fields of each packet."""
     return [(p.packet_id, p.kind, p.prefix_id, p.chunk_index, p.src, p.dst,
              p.created_s, p.terminated_s, p.outcome, p.route) for p in packets]
+
+
+# -- packet log ------------------------------------------------------------
+
+def test_packet_log_records_number_packets_by_position():
+    packets = [record(kind=P.INTEREST, created=0.5, terminated=0.625, route="0-1", chunk=1),
+               record(created=0.5, terminated=None, outcome=P.UNTERMINATED, route="1-0", chunk=1)]
+    log = M.PacketLog(packets)
+    assert len(log) == 2
+    assert list(log) == [log[0], log[1]] == [log[-2], log[-1]]
+    assert log[1] == M.PacketRecord(1, P.DATA, 0, 1, (1, 0), 0.5, None, P.UNTERMINATED)
+    with pytest.raises(IndexError):
+        log[2]
+    # Equal packets in the same order make equal logs; the kind is part of a packet.
+    assert log == M.PacketLog(list(packets))
+    assert log != M.PacketLog(packets[::-1])
+    assert M.PacketLog([P.Interest(0, 0, (0, 1))]) != M.PacketLog([P.Data(0, 0, (0, 1))])
 
 
 # -- histogram -------------------------------------------------------------
@@ -57,22 +77,22 @@ def test_histogram_counts_sum(times, width):
 def test_warmup_and_cooldown_boundaries():
     # One channel: inside the window 10 and 20 Mbps, outside it 400 Mbps.
     log = M.LoadLog([49.9, 50.0, 949.9, 950.0], [[400.0], [10.0], [20.0], [400.0]])
-    summary = M.summarize(log, [], [], 50.0, 950.0)
+    summary = M.summarize(log, M.PacketLog(), [], 50.0, 950.0)
     assert summary.avg_load_mbps == 15.0
     assert summary.offered_load_mbps == 15.0
-    with_outside_only = M.summarize(M.LoadLog([49.9, 950.0], [[400.0], [400.0]]), [], [],
+    with_outside_only = M.summarize(M.LoadLog([49.9, 950.0], [[400.0], [400.0]]), M.PacketLog(), [],
                                     50.0, 950.0)
     assert with_outside_only.avg_load_mbps == 0.0
 
 
 def test_equal_loads_have_zero_std():
     log = M.LoadLog([100.0], [[42.0] * 4])
-    assert M.summarize(log, [], [], 50.0, 950.0).std_load_mbps == 0.0
+    assert M.summarize(log, M.PacketLog(), [], 50.0, 950.0).std_load_mbps == 0.0
 
 
 def test_across_channel_population_std():
     log = M.LoadLog([100.0, 200.0], [[10.0, 20.0], [30.0, 30.0]])
-    summary = M.summarize(log, [], [], 50.0, 950.0)
+    summary = M.summarize(log, M.PacketLog(), [], 50.0, 950.0)
     assert summary.std_load_mbps == pytest.approx((5.0 + 0.0) / 2)
     assert summary.offered_load_mbps == pytest.approx((30.0 + 60.0) / 2)
     assert summary.avg_load_mbps == pytest.approx(22.5)
@@ -84,7 +104,7 @@ def test_load_statistics_match_per_time_definition(rows):
     # Reference: per sample time, the channel sum and the population std
     # across channels, each averaged over times.
     log = M.LoadLog([60.0 + i / 5 for i in range(len(rows))], rows)
-    summary = M.summarize(log, [], [], 50.0, 950.0)
+    summary = M.summarize(log, M.PacketLog(), [], 50.0, 950.0)
     sums = [math.fsum(row) for row in rows]
     stds = [math.sqrt(math.fsum((x - s / len(row)) ** 2 for x in row) / len(row))
             for row, s in zip(rows, sums)]
@@ -94,9 +114,9 @@ def test_load_statistics_match_per_time_definition(rows):
 
 
 def test_delivery_mean_over_data_packets():
-    log = [record(0, created=1.0, terminated=3.0),
-           record(1, created=1.0, terminated=5.0),
-           record(2, kind=P.INTEREST, created=1.0, terminated=1.1)]
+    log = M.PacketLog([record(created=1.0, terminated=3.0),
+                       record(created=1.0, terminated=5.0),
+                       record(kind=P.INTEREST, created=1.0, terminated=1.1)])
     summary = M.summarize(M.LoadLog(), log, M.delivery_times(log), 50.0, 950.0)
     assert summary.avg_delivery_s == pytest.approx(3.0)
     assert summary.delivered_count == 3
@@ -105,7 +125,7 @@ def test_delivery_mean_over_data_packets():
 def test_delivery_mean_is_correctly_rounded():
     # Ten delays of 0.1 summed one after another give 0.9999999999999999 and a
     # mean of 0.09999999999999999; the correctly rounded sum is 1.0.
-    log = [record(i, created=0.0, terminated=0.1) for i in range(10)]
+    log = M.PacketLog([record(created=0.0, terminated=0.1) for _ in range(10)])
     assert M.summarize(M.LoadLog(), log, M.delivery_times(log), 50.0, 950.0).avg_delivery_s == 0.1
 
 
@@ -128,7 +148,8 @@ def exact_load_statistics(rows):
     return offered, offered / channels, exact_sum(spreads) / len(rows)
 
 
-def load_statistics(rows, packet_log=()):
+def load_statistics(rows, packets=()):
+    packet_log = M.PacketLog(list(packets))
     s = M.summarize(M.LoadLog([100.0] * len(rows), rows), packet_log, M.delivery_times(packet_log),
                     50.0, 950.0)
     return s.offered_load_mbps, s.avg_load_mbps, s.std_load_mbps, s.avg_delivery_s
@@ -156,7 +177,7 @@ def test_load_statistics_are_correctly_rounded_at_desk_batch_size(seed):
     st.lists(st.floats(0.0, 2048.0), min_size=channels, max_size=channels), min_size=1, max_size=12)),
     st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30), st.randoms(use_true_random=False))
 def test_statistics_do_not_depend_on_order(rows, delays, rng):
-    packets = [record(i, created=1.0, terminated=1.0 + d) for i, d in enumerate(delays)]
+    packets = [record(created=1.0, terminated=1.0 + d) for d in delays]
     shuffled_rows = [rng.sample(row, len(row)) for row in rows]
     reversed_rows = [row[::-1] for row in rows]
     expected = load_statistics(rows, packets)
@@ -165,7 +186,7 @@ def test_statistics_do_not_depend_on_order(rows, delays, rng):
 
 
 def test_no_delivered_data_means_absent_average():
-    log = [record(0, outcome=P.DROPPED), record(1, outcome=P.UNTERMINATED, terminated=None)]
+    log = M.PacketLog([record(outcome=P.DROPPED), record(outcome=P.UNTERMINATED, terminated=None)])
     summary = M.summarize(M.LoadLog(), log, M.delivery_times(log), 50.0, 950.0)
     assert summary.avg_delivery_s is None
     assert summary.dropped_count == 1
@@ -174,8 +195,8 @@ def test_no_delivered_data_means_absent_average():
 
 @given(st.lists(st.sampled_from([P.DELIVERED, P.DROPPED, P.UNTERMINATED]), max_size=30))
 def test_outcome_counts_reconcile(outcomes):
-    log = [record(i, outcome=o, terminated=None if o == P.UNTERMINATED else 1.0)
-           for i, o in enumerate(outcomes)]
+    log = M.PacketLog([record(outcome=o, terminated=None if o == P.UNTERMINATED else 1.0)
+                       for o in outcomes])
     summary = M.summarize(M.LoadLog(), log, M.delivery_times(log), 50.0, 950.0)
     assert (summary.delivered_count + summary.dropped_count + summary.unterminated_count
             == len(outcomes))
@@ -213,18 +234,18 @@ def parse_loads(path):
 def parse_packets(path):
     lines = path.read_text().splitlines()
     assert lines[0] == M.PACKETS_HEADER
-    out = []
+    out = M.PacketLog()
     for line in lines[1:]:
         _, pid, kind, prefix, chunk, src, dst, created, terminated, outcome, route = line.split(",")
-        packet = record(int(pid), kind, float(created), float(terminated) if terminated else None,
-                        outcome, route, int(prefix), int(chunk))
-        assert (packet.src, packet.dst) == (int(src), int(dst))
-        out.append(packet)
+        assert int(pid) == len(out)
+        out.packets.append(record(kind, float(created), float(terminated) if terminated else None,
+                                  outcome, route, int(prefix), int(chunk)))
+        assert (out[-1].src, out[-1].dst) == (int(src), int(dst))
     return out
 
 
 def test_empty_run_writes_headers_only(tmp_path):
-    paths = M.write_csv(tiny_topology(), M.LoadLog(), [], summary_fixture(), tmp_path)
+    paths = M.write_csv(tiny_topology(), M.LoadLog(), M.PacketLog(), summary_fixture(), tmp_path)
     assert [p.name for p in paths] == ["loads.csv", "packets.csv", "summary.csv"]
     assert paths[0].read_text() == M.LOADS_HEADER + "\n"
     assert paths[1].read_text() == M.PACKETS_HEADER + "\n"
@@ -234,7 +255,7 @@ def test_empty_run_writes_headers_only(tmp_path):
 
 
 def test_delivered_packet_row(tmp_path):
-    log = [record(0, created=0.5, terminated=0.625, route="0-1")]
+    log = M.PacketLog([record(created=0.5, terminated=0.625, route="0-1")])
     _, packets_path, _ = M.write_csv(tiny_topology(), M.LoadLog(), log, summary_fixture(), tmp_path)
     assert packets_path.read_text().splitlines()[1] == \
         "7-single,0,data,0,0,0,1,0.500000,0.625000,Delivered,0-1"
@@ -243,13 +264,13 @@ def test_delivered_packet_row(tmp_path):
 def test_shared_and_signed_zero_created_times(tmp_path):
     # Interests at 0.0 and at -0.0 (both accepted by the engine), and an
     # interest at 2.5 whose data chunk shares its created time.
-    log = [record(0, kind=P.INTEREST, created=0.0, terminated=0.0625),
-           record(1, kind=P.INTEREST, created=-0.0, terminated=0.0625, chunk=1),
-           record(2, kind=P.INTEREST, created=2.5, terminated=2.5625, route="1-0"),
-           record(3, created=0.0, terminated=0.625, route="1-0"),
-           record(4, created=-0.0, terminated=0.6875, route="1-0", chunk=1),
-           record(5, created=2.5, terminated=3.125),
-           record(6, created=-0.0, outcome=P.DROPPED, terminated=0.75, route="1-0", chunk=1)]
+    log = M.PacketLog([record(kind=P.INTEREST, created=0.0, terminated=0.0625),
+                       record(kind=P.INTEREST, created=-0.0, terminated=0.0625, chunk=1),
+                       record(kind=P.INTEREST, created=2.5, terminated=2.5625, route="1-0"),
+                       record(created=0.0, terminated=0.625, route="1-0"),
+                       record(created=-0.0, terminated=0.6875, route="1-0", chunk=1),
+                       record(created=2.5, terminated=3.125),
+                       record(created=-0.0, outcome=P.DROPPED, terminated=0.75, route="1-0", chunk=1)])
     _, packets_path, _ = M.write_csv(tiny_topology(), M.LoadLog(), log, summary_fixture(), tmp_path)
     assert packets_path.read_text() == (
         M.PACKETS_HEADER + "\n"
@@ -263,24 +284,25 @@ def test_shared_and_signed_zero_created_times(tmp_path):
 
 
 def test_unterminated_packet_has_empty_timestamp(tmp_path):
-    log = [record(0, outcome=P.UNTERMINATED, terminated=None)]
+    log = M.PacketLog([record(outcome=P.UNTERMINATED, terminated=None)])
     _, packets_path, _ = M.write_csv(tiny_topology(), M.LoadLog(), log, summary_fixture(), tmp_path)
     row = packets_path.read_text().splitlines()[1]
     assert ",,Unterminated," in row
 
 
 def test_absent_average_is_empty_field(tmp_path):
-    *_, summary_path = M.write_csv(tiny_topology(), M.LoadLog(), [], summary_fixture(avg_delivery_s=None), tmp_path)
+    *_, summary_path = M.write_csv(tiny_topology(), M.LoadLog(), M.PacketLog(),
+                                   summary_fixture(avg_delivery_s=None), tmp_path)
     assert summary_path.read_text().splitlines()[1].split(",")[4] == ""
 
 
 def test_rows_sorted_and_roundtrip(tmp_path):
     topo = tiny_topology()
     load_log = M.LoadLog([0.2, 0.4], [[2.0, 3.5], [0.0, 1.25]])
-    # In packet-id order, as the engine returns it: write_csv does not sort.
-    packet_log = [record(0, created=0.0, terminated=0.125),
-                  record(1, kind=P.INTEREST, created=0.0, terminated=0.0625, route="1-0"),
-                  record(2, created=0.25, terminated=0.375)]
+    # A packet's id is its position in the log: write_csv does not sort.
+    packet_log = M.PacketLog([record(created=0.0, terminated=0.125),
+                              record(kind=P.INTEREST, created=0.0, terminated=0.0625, route="1-0"),
+                              record(created=0.25, terminated=0.375)])
     paths = M.write_csv(topo, load_log, packet_log, summary_fixture(), tmp_path)
 
     loads = parse_loads(paths[0])
@@ -312,7 +334,7 @@ def test_loads_csv_text_is_pinned_for_edge_rows(tmp_path):
     topology = make_topology(3, [(0, 1, 1024.0), (1, 2, 700.0)], [Prefix(0, 8, (2,))])
     load_log = M.LoadLog([0.2, 0.4000004], [[0.0, 1024, 700.0, 2.4999996],
                                             [0.1234565, 0.0, 700.0, 0]])
-    loads_path, *_ = M.write_csv(topology, load_log, [], summary_fixture(run_id="5-%s%%d-multi"),
+    loads_path, *_ = M.write_csv(topology, load_log, M.PacketLog(), summary_fixture(run_id="5-%s%%d-multi"),
                                  tmp_path / "edges")
     assert loads_path.read_text() == (
         M.LOADS_HEADER + "\n"
@@ -330,7 +352,7 @@ def test_unwritable_path_raises_oserror(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     with pytest.raises(OSError):
-        M.write_csv(tiny_topology(), M.LoadLog(), [], summary_fixture(), blocker / "sub")
+        M.write_csv(tiny_topology(), M.LoadLog(), M.PacketLog(), summary_fixture(), blocker / "sub")
 
 
 def test_write_histogram(tmp_path):
