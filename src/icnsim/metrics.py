@@ -71,9 +71,9 @@ class PacketRecord(NamedTuple):
 class PacketLog:
     """A run's packets (``protocol.Packet``), in id order: a packet's id is its position.
 
-    ``packets`` holds the packets themselves, which store no id. ``len``,
-    iteration and indexing give ``PacketRecord`` views, built on each read;
-    ``==`` compares the packets.
+    ``packets`` holds the packets themselves, which store no id. ``len``
+    counts them, iteration gives ``PacketRecord`` views, built on each read,
+    and ``==`` compares the packets.
     """
 
     packets: list[protocol.Packet] = field(default_factory=list)
@@ -82,19 +82,10 @@ class PacketLog:
         return len(self.packets)
 
     def __iter__(self):
-        return _records(0, self.packets)
-
-    def __getitem__(self, index: int) -> PacketRecord:
-        packet_id = range(len(self.packets))[index]
-        return next(_records(packet_id, self.packets[packet_id:packet_id + 1]))
-
-
-def _records(first_id: int, packets):
-    """Records of ``packets``, numbered from ``first_id``."""
-    make = PacketRecord._make
-    for packet_id, p in enumerate(packets, first_id):
-        yield make((packet_id, p.kind, p.prefix_id, p.chunk_index, p.nodes, p.created_s,
-                    p.terminated_s, p.outcome))
+        make = PacketRecord._make
+        for packet_id, p in enumerate(self.packets):
+            yield make((packet_id, p.kind, p.prefix_id, p.chunk_index, p.nodes, p.created_s,
+                        p.terminated_s, p.outcome))
 
 
 @dataclass

@@ -70,13 +70,17 @@ class Packet:
 # Each kind is a dataclass of its own, so each gets its own generated
 # ``__init__``. CPython 3.11 specializes an attribute store for one class, and
 # one ``__init__`` shared by both kinds would miss on about half the packets.
-@dataclass(slots=True)
+# The empty ``__slots__`` is written out: ``slots=True`` on a subclass repeats
+# the base's slots on Python 3.10, which would make each packet larger.
+@dataclass
 class Interest(Packet):
+    __slots__ = ()
     kind: ClassVar[str] = INTEREST
 
 
-@dataclass(slots=True)
+@dataclass
 class Data(Packet):
+    __slots__ = ()
     kind: ClassVar[str] = DATA
 
 

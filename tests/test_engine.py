@@ -541,7 +541,7 @@ def test_same_instant_arrivals_at_buffer_1_channel():
         (4, P.DATA, (4, 3, 2, 0), P.DELIVERED),
     ]
     hop = 800_000 / 1_024_000_000
-    assert packets[2].terminated_s == 1.1 + hop
+    assert packets.packets[2].terminated_s == 1.1 + hop
 
 
 def test_arrivals_in_place_keep_order_on_a_tied_path():

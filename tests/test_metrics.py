@@ -35,10 +35,8 @@ def test_packet_log_records_number_packets_by_position():
                record(created=0.5, terminated=None, outcome=P.UNTERMINATED, route="1-0", chunk=1)]
     log = M.PacketLog(packets)
     assert len(log) == 2
-    assert list(log) == [log[0], log[1]] == [log[-2], log[-1]]
-    assert log[1] == M.PacketRecord(1, P.DATA, 0, 1, (1, 0), 0.5, None, P.UNTERMINATED)
-    with pytest.raises(IndexError):
-        log[2]
+    assert list(log) == [M.PacketRecord(0, P.INTEREST, 0, 1, (0, 1), 0.5, 0.625, P.DELIVERED),
+                         M.PacketRecord(1, P.DATA, 0, 1, (1, 0), 0.5, None, P.UNTERMINATED)]
     # Equal packets in the same order make equal logs; the kind is part of a packet.
     assert log == M.PacketLog(list(packets))
     assert log != M.PacketLog(packets[::-1])
@@ -240,7 +238,8 @@ def parse_packets(path):
         assert int(pid) == len(out)
         out.packets.append(record(kind, float(created), float(terminated) if terminated else None,
                                   outcome, route, int(prefix), int(chunk)))
-        assert (out[-1].src, out[-1].dst) == (int(src), int(dst))
+        nodes = out.packets[-1].nodes
+        assert (nodes[0], nodes[-1]) == (int(src), int(dst))
     return out
 
 
