@@ -141,16 +141,13 @@ def _execute(config, topology, scenario):
     return load_log, packet_log, delays, summary
 
 
+@engine.collector_paused
 def run_single(config):
     """One run; writes loads.csv, packets.csv, summary.csv, histogram.csv.
 
     The cyclic collector is paused for the whole call (see
     ``engine.collector_paused``).
     """
-    return engine.collector_paused(_run_single, config)
-
-
-def _run_single(config):
     topology, scenario = build_inputs(config)
     load_log, packet_log, delays, summary = _execute(config, topology, scenario)
     bins = metrics.histogram(delays, config.histogram_bin_s)
@@ -161,6 +158,7 @@ def _run_single(config):
     return summary, paths
 
 
+@engine.collector_paused
 def run_batch(config, runs: int):
     """Paired single/multi runs on seeds seed..seed+runs-1; writes batch.csv.
 
@@ -171,10 +169,6 @@ def run_batch(config, runs: int):
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
-    return engine.collector_paused(_run_batch, config, runs)
-
-
-def _run_batch(config, runs):
     summaries = []
     for offset in range(runs):
         seed_config = replace(config, seed=config.seed + offset, mode=protocol.MODE_SINGLE, k=None)

@@ -85,6 +85,7 @@ collector would only walk the growing packet log again and again.
 
 from __future__ import annotations
 
+import functools
 import gc
 import heapq
 import itertools
@@ -97,22 +98,25 @@ from . import metrics, protocol, routing
 INIT_INTEREST, TRANSMIT_COMPLETE, RECEIVE, PATH_UPDATE = range(4)
 
 
-def collector_paused(work, *args):
-    """``work(*args)`` with the cyclic garbage collector off.
+def collector_paused(work):
+    """Decorator: ``work`` runs with the cyclic garbage collector off.
 
     The collector is turned back on afterwards only if it was on before, also
-    when ``work`` raises. What ``work`` drops is freed by reference counting
-    before the collector resumes, so a caller that returns only summaries
-    should do its work inside ``work``: the collector then never walks its
-    logs, not even at the first collection after resuming.
+    when ``work`` raises. A function's locals are freed by reference counting
+    when it returns, before the collector resumes, so a decorated function
+    that returns only summaries never has its logs walked by the collector,
+    not even at the first collection after resuming.
     """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return work(*args)
-    finally:
-        if collecting:
-            gc.enable()
+    @functools.wraps(work)
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return work(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+    return paused
 
 
 class SimulationError(RuntimeError):
@@ -238,6 +242,7 @@ class Simulation:
         if pending:
             heapq.heappush(heap, pending.pop())
 
+    @collector_paused
     def run(self):
         """Handle events up to the horizon; returns (load_log, packet_log).
 
@@ -245,9 +250,6 @@ class Simulation:
         makes no reference cycles, and is turned back on afterwards only if
         it was on when the run started, also when a handler raises.
         """
-        return collector_paused(self._handle_events)
-
-    def _handle_events(self):
         pop = EventQueue.pop
         heap = self._heap
         # Indexed by kind. Local: bound methods kept on self would hold a

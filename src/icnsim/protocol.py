@@ -87,21 +87,20 @@ class Data(Packet):
 def split_interest(prefix, paths, now: float, routes: Routes) -> list[Interest]:
     """One interest packet per 8 MB chunk of the prefix's data object.
 
-    Chunks are dealt round-robin across ``paths``, cheapest first. Single mode
-    passes only the cheapest path, so every chunk takes it; multi mode passes
-    up to k, and degrades to single-path when only one loopless path exists.
-    Each chunk's ``nodes`` is the tuple that ``routes``, the run's route
-    table, holds for its path; a path not yet in the table is stored there.
+    ``paths`` are ranked ``(cost, nodes)`` pairs, as ``routing.RouteSet.paths``
+    returns them. Chunks are dealt round-robin across them, cheapest first.
+    Single mode passes only the cheapest path, so every chunk takes it; multi
+    mode passes up to k, and degrades to single-path when only one loopless
+    path exists. Each chunk's ``nodes`` is the tuple that ``routes``, the run's
+    route table, holds for its path; a path not yet in the table is stored
+    there.
     """
     if not paths:
         raise RouteUnavailableError(f"no path toward prefix {prefix.prefix_id}")
-    if prefix.size_mb % CHUNK_SIZE_MB:
-        raise ValueError(f"object size {prefix.size_mb} MB is not a chunk multiple")
-    packets = []
-    for chunk in range(prefix.size_mb // CHUNK_SIZE_MB):
-        route = routes[paths[chunk % len(paths)].nodes][0]
-        packets.append(Interest(prefix.prefix_id, chunk, route, now))
-    return packets
+    chunks = prefix.size_mb // CHUNK_SIZE_MB
+    shared = [routes[nodes][0] for _, nodes in paths[:chunks]]
+    return [Interest(prefix.prefix_id, chunk, shared[chunk % len(shared)], now)
+            for chunk in range(chunks)]
 
 
 def make_data_response(interest: Packet, node: int, routes: Routes) -> Data:

@@ -36,7 +36,7 @@ first by node sequence.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from bisect import insort
 from math import inf
 from operator import ge
 
@@ -78,14 +78,6 @@ def compute_cost_view(topology: Topology, idle: tuple[float, ...], loads,
         if load:
             costs[channel_id] = channel_cost(channels[channel_id].capacity_mbps, load, epsilon_mbps)
     return tuple(costs)
-
-
-@dataclass(frozen=True)
-class RoutePath:
-    """Loopless path from a consumer to an anchor."""
-
-    nodes: tuple[int, ...]
-    cost: float
 
 
 def _dist_to_targets(topology, costs, targets):
@@ -193,6 +185,10 @@ def _best_path(topology, costs, src, targets, bound, done, banned_first_hops, ba
 def _k_shortest(topology, costs, src, targets, k, bound):
     """Yen's ranking of the k cheapest loopless paths from src to targets.
 
+    Returns the ranked ``(cost, nodes)`` pairs, cheapest first, ties by node
+    sequence. The pending candidates are one list kept in that order, and
+    ``seen`` keeps them unique, so the head is always the next to accept.
+
     With m = k - len(accepted) paths still wanted and at least m candidates
     pending, every path still to be accepted costs at most C_m, the cost of
     the m-th cheapest pending candidate. Each spur search continues the root's
@@ -205,7 +201,7 @@ def _k_shortest(topology, costs, src, targets, k, bound):
     first = _best_path(topology, costs, src, targets, bound, set(), (), False, 0.0, inf)
     if first is None:
         return []
-    accepted = [(first[0], first[1])]
+    accepted = [first]
     candidates: list[tuple[float, tuple[int, ...]]] = []
     seen = {first[1]}
     while len(accepted) < k:
@@ -213,7 +209,7 @@ def _k_shortest(topology, costs, src, targets, k, bound):
         wanted = k - len(accepted)
         ceiling = inf
         if len(candidates) >= wanted:
-            ceiling = sorted(candidates)[wanted - 1][0] * (1 + CUTOFF_SLACK)
+            ceiling = candidates[wanted - 1][0] * (1 + CUTOFF_SLACK)
         root_cost = 0.0
         for j in range(len(base)):
             spur = base[j]
@@ -236,13 +232,13 @@ def _k_shortest(topology, costs, src, targets, k, bound):
             if candidate in seen:
                 continue
             seen.add(candidate)
-            heapq.heappush(candidates, (found[0], candidate))
+            insort(candidates, (found[0], candidate))
             if len(candidates) >= wanted:
-                ceiling = sorted(candidates)[wanted - 1][0] * (1 + CUTOFF_SLACK)
+                ceiling = candidates[wanted - 1][0] * (1 + CUTOFF_SLACK)
         if not candidates:
             break
-        accepted.append(heapq.heappop(candidates))
-    return [RoutePath(nodes, cost) for cost, nodes in accepted]
+        accepted.append(candidates.pop(0))
+    return accepted
 
 
 class LowerBounds:
@@ -285,15 +281,16 @@ class RouteSet:
         self.costs = costs
         self.k = k
         self.bounds = bounds
-        self._entries: dict[tuple[int, int], tuple[RoutePath, ...]] = {}
+        self._entries: dict[tuple[int, int], tuple[tuple[float, tuple[int, ...]], ...]] = {}
 
-    def paths(self, node: int, prefix_id: int) -> tuple[RoutePath, ...]:
+    def paths(self, node: int, prefix_id: int) -> tuple[tuple[float, tuple[int, ...]], ...]:
         """Up to k cheapest loopless paths from node ending at any anchor of the prefix.
 
-        Paths are ordered by ascending cost, ties by node sequence; fewer than
-        k come back when fewer loopless paths exist, and none when node cannot
-        reach an anchor. An anchor node gets its zero-cost single-node path
-        first.
+        Each path is a ``(cost, nodes)`` pair, its cost summed hop by hop from
+        node. Paths are ordered by ascending cost, ties by node sequence, so
+        the pairs sort as they are ranked; fewer than k come back when fewer
+        loopless paths exist, and none when node cannot reach an anchor. An
+        anchor node gets its zero-cost single-node path first.
         """
         key = (node, prefix_id)
         entry = self._entries.get(key)

@@ -30,11 +30,19 @@ class Channel:
 
 @dataclass(frozen=True)
 class Prefix:
-    """Handle of one data object and the anchor nodes that serve it."""
+    """Handle of one data object and the anchor nodes that serve it.
+
+    The object is split into whole chunks, so a size that is not a positive
+    multiple of ``CHUNK_SIZE_MB`` raises ValueError.
+    """
 
     prefix_id: int
     size_mb: int
     anchors: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.size_mb <= 0 or self.size_mb % CHUNK_SIZE_MB:
+            raise ValueError(f"prefix {self.prefix_id} size {self.size_mb} MB is not a positive chunk multiple")
 
 
 @dataclass
@@ -96,7 +104,9 @@ def make_topology(node_count, edges, prefixes) -> Topology:
     Each edge becomes a pair of directed channels with equal capacity; channel
     ids follow edge order (edge i -> channels 2i and 2i+1). Prefix ids must
     be their positions in ``prefixes``, and a self-loop or a second edge
-    between two nodes is rejected (both checked by ``Topology``).
+    between two nodes is rejected (both checked by ``Topology``). A prefix
+    checks its own size when it is built (see ``Prefix``); here each needs at
+    least one anchor and a node that is not one.
     """
     if node_count < 2:
         raise ValueError("a topology needs at least 2 nodes")
@@ -115,8 +125,6 @@ def make_topology(node_count, edges, prefixes) -> Topology:
             raise ValueError(f"prefix {p.prefix_id} has no anchors")
         if len(set(p.anchors)) == node_count:
             raise ValueError(f"prefix {p.prefix_id} is anchored at every node; no consumer could request it")
-        if p.size_mb <= 0 or p.size_mb % CHUNK_SIZE_MB:
-            raise ValueError(f"prefix {p.prefix_id} size {p.size_mb} MB is not a positive chunk multiple")
     return topology
 
 

@@ -6,12 +6,12 @@ from hypothesis import given, strategies as st
 
 from icnsim import metrics as M
 from icnsim import protocol as P
-from icnsim.routing import RoutePath
 from icnsim.topology import Prefix
 
 
 def path(*nodes):
-    return RoutePath(tuple(nodes), float(len(nodes) - 1))
+    """A ranked ``(cost, nodes)`` pair, as ``RouteSet.paths`` returns it, at unit cost per hop."""
+    return float(len(nodes) - 1), tuple(nodes)
 
 
 P0 = path(0, 1, 4)
@@ -27,25 +27,24 @@ def test_sizes_are_exact():
 def test_single_chunk_object():
     packets = P.split_interest(Prefix(0, 8, (4,)), [P0], 1.0, P.Routes())
     assert len(packets) == 1
-    assert packets[0].nodes == P0.nodes
+    assert packets[0].nodes == P0[1]
 
 
 def test_multi_round_robin_over_eight_chunks():
     packets = P.split_interest(Prefix(0, 64, (4,)), [P0, P1, P2], 0.0, P.Routes())
-    assert [p.nodes for p in packets] == [
-        P0.nodes, P1.nodes, P2.nodes, P0.nodes, P1.nodes, P2.nodes, P0.nodes, P1.nodes]
+    assert [p.nodes for p in packets] == [P0[1], P1[1], P2[1], P0[1], P1[1], P2[1], P0[1], P1[1]]
     assert [p.chunk_index for p in packets] == list(range(8))
 
 
 def test_single_mode_pins_all_chunks_to_best_path():
     packets = P.split_interest(Prefix(0, 24, (4,)), [P0], 0.0, P.Routes())
     assert len(packets) == 3
-    assert all(p.nodes == P0.nodes for p in packets)
+    assert all(p.nodes == P0[1] for p in packets)
 
 
 def test_multi_mode_with_one_path_degrades_to_single():
     packets = P.split_interest(Prefix(0, 24, (4,)), [P1], 0.0, P.Routes())
-    assert all(p.nodes == P1.nodes for p in packets)
+    assert all(p.nodes == P1[1] for p in packets)
 
 
 def test_packet_fields():

@@ -31,13 +31,12 @@ def table_paths(topology, costs, src, k):
 
 
 def assert_matches_brute_force(topology, fib, view, src, k):
-    """The table's entry for (src, prefix 0) is the oracle's, ties included."""
+    """The table's entry for (src, prefix 0) is the oracle's, ties included.
+
+    Both sum a path's cost hop by hop from src, so the costs are equal too.
+    """
     targets = topology.prefixes[0].anchors
-    got = [(p.cost, p.nodes) for p in fib.paths(src, 0)]
-    want = brute_force_k_paths(topology, view, src, targets, k)
-    assert [n for _, n in got] == [n for _, n in want]
-    for (gc, _), (wc, _) in zip(got, want):
-        assert gc == pytest.approx(wc, rel=1e-9)
+    assert fib.paths(src, 0) == tuple(brute_force_k_paths(topology, view, src, targets, k))
 
 
 def triangle():
@@ -125,9 +124,7 @@ def test_cost_view_from_idle_base_equals_full_view(case):
 
 def test_triangle_paths():
     topo = triangle()
-    paths = table_paths(topo, unit_costs(topo), 0, 3)
-    assert [p.nodes for p in paths] == [(0, 2), (0, 1, 2)]
-    assert [p.cost for p in paths] == [1.0, 2.0]
+    assert table_paths(topo, unit_costs(topo), 0, 3) == ((1.0, (0, 2)), (2.0, (0, 1, 2)))
 
 
 def test_disconnected_source_yields_nothing():
@@ -139,15 +136,12 @@ def test_disconnected_source_yields_nothing():
 
 def test_source_is_anchor():
     topo = triangle()
-    paths = table_paths(topo, unit_costs(topo), 2, 2)
-    assert paths[0].nodes == (2,)
-    assert paths[0].cost == 0.0
+    assert table_paths(topo, unit_costs(topo), 2, 2)[0] == (0.0, (2,))
 
 
 def test_multi_anchor_paths_may_pass_through_an_anchor():
     line = T.make_topology(3, [(0, 1, 600.0), (1, 2, 600.0)], [T.Prefix(0, 8, (1, 2))])
-    paths = table_paths(line, unit_costs(line), 0, 3)
-    assert [p.nodes for p in paths] == [(0, 1), (0, 1, 2)]
+    assert table_paths(line, unit_costs(line), 0, 3) == ((1.0, (0, 1)), (2.0, (0, 1, 2)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,10 +202,10 @@ def weighted(n, edges, anchors):
 FIRST_TARGET_PUSHED_LOSES = {
     "cheaper-with-more-hops": (
         weighted(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 2, 2.0), (0, 3, 4.0)], (3,)),
-        [((0, 1, 2, 3), 3.0), ((0, 2, 3), 3.0), ((0, 3), 4.0)]),
+        ((3.0, (0, 1, 2, 3)), (3.0, (0, 2, 3)), (4.0, (0, 3)))),
     "tie-pushed-later": (
         weighted(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 3, 2.0), (0, 2, 1.0), (2, 3, 1.5)], (3,)),
-        [((0, 1, 3), 2.0), ((0, 3), 2.0), ((0, 2, 3), 2.5)]),
+        ((2.0, (0, 1, 3)), (2.0, (0, 3)), (2.5, (0, 2, 3)))),
 }
 
 
@@ -224,7 +218,7 @@ def test_first_target_pushed_does_not_win_unchecked(graph, floor, k):
     (topology, view), want = FIRST_TARGET_PUSHED_LOSES[graph]
     bounds = R.LowerBounds(topology, view if floor == "own" else (0.0,) * len(view))
     (fib,) = R.rebuild_tables(view, k, bounds)
-    assert [(p.nodes, p.cost) for p in fib.paths(0, 0)] == want[:k]
+    assert fib.paths(0, 0) == want[:k]
     assert_matches_brute_force(topology, fib, view, 0, k)
 
 
@@ -239,8 +233,8 @@ def test_k1_is_dijkstra(seed):
     if not got:
         assert ref is None
     else:
-        assert got[0].nodes == ref[1]
-        assert got[0].cost == pytest.approx(ref[0], rel=1e-12)
+        # Dijkstra sums each path hop by hop from src too.
+        assert got[0] == ref
 
 
 @settings(max_examples=30, deadline=None)
@@ -249,8 +243,8 @@ def test_scaling_costs_preserves_routes(seed, scale):
     topology, view = random_case(seed)
     scaled = tuple(c * scale for c in view)
     src = seed % len(topology.nodes)
-    base = [p.nodes for p in table_paths(topology, view, src, 3)]
-    after = [p.nodes for p in table_paths(topology, scaled, src, 3)]
+    base = [nodes for _, nodes in table_paths(topology, view, src, 3)]
+    after = [nodes for _, nodes in table_paths(topology, scaled, src, 3)]
     assert base == after
 
 
@@ -262,12 +256,12 @@ def test_paths_are_loopless_and_anchor_terminated():
     for prefix in topo.prefixes:
         for node in topo.nodes:
             paths = fib.paths(node, prefix.prefix_id)
-            costs = [p.cost for p in paths]
+            costs = [cost for cost, _ in paths]
             assert costs == sorted(costs)
-            for p in paths:
-                assert len(set(p.nodes)) == len(p.nodes)
-                assert p.nodes[-1] in prefix.anchors
-                assert p.nodes[0] == node
+            for _, nodes in paths:
+                assert len(set(nodes)) == len(nodes)
+                assert nodes[-1] in prefix.anchors
+                assert nodes[0] == node
 
 
 # -- rebuild_tables ----------------------------------------------------
@@ -275,9 +269,7 @@ def test_paths_are_loopless_and_anchor_terminated():
 def test_self_anchor_entry():
     topo = triangle()
     fib = own_tables(topo, unit_costs(topo), 3)
-    paths = fib.paths(2, 0)
-    assert paths[0].nodes == (2,)
-    assert paths[0].cost == 0.0
+    assert fib.paths(2, 0)[0] == (0.0, (2,))
 
 
 def test_k1_fib_ends_at_nearest_anchor():
@@ -287,10 +279,10 @@ def test_k1_fib_ends_at_nearest_anchor():
     fib = own_tables(topo, view, 1)
     for prefix in topo.prefixes:
         for node in topo.nodes:
-            best = fib.paths(node, prefix.prefix_id)[0]
+            cost, nodes = fib.paths(node, prefix.prefix_id)[0]
             dist, path = reference_dijkstra(topo, view, node, prefix.anchors)
-            assert best.nodes[-1] == path[-1]
-            assert best.cost == pytest.approx(dist, rel=1e-12)
+            assert nodes[-1] == path[-1]
+            assert cost == dist
 
 
 def test_fib_against_oracle_at_full_scale():
@@ -306,10 +298,7 @@ def test_fib_against_oracle_at_full_scale():
         for prefix in topo.prefixes:
             anchors = set(prefix.anchors)
             want = sorted((c, p) for c, p in by_endpoint if p[-1] in anchors)[:3]
-            got = [(p.cost, p.nodes) for p in fib.paths(node, prefix.prefix_id)]
-            assert [n for _, n in got] == [n for _, n in want]
-            for (gc, _), (wc, _) in zip(got, want):
-                assert gc == pytest.approx(wc, rel=1e-9)
+            assert fib.paths(node, prefix.prefix_id) == tuple(want)
 
 
 def test_rebuild_requires_positive_k():

@@ -128,6 +128,14 @@ def test_make_topology_rejects_bad_input():
         T.make_topology(2, [(0, 1, 600.0)], [T.Prefix(0, 8, (0, 1))])
 
 
+@pytest.mark.parametrize("size_mb", [12, 0, -8])
+def test_prefix_rejects_a_size_that_is_not_a_positive_chunk_multiple(size_mb):
+    # The object is split into whole chunks, so the prefix rejects a bad size
+    # when it is built, before any topology or interest reads it.
+    with pytest.raises(ValueError, match=f"prefix 0 size {size_mb} MB is not a positive chunk multiple"):
+        T.Prefix(0, size_mb, (1,))
+
+
 @pytest.mark.parametrize("extra, message", [
     (T.Channel(2, 0, 1, 2000.0), "a second channel 0->1"),
     (T.Channel(2, 1, 1, 600.0), "two distinct ends"),
