@@ -70,12 +70,10 @@ itself, which the run reads off the class when it starts and calls on the
 heap.
 
 A packet's object is kept in the run's ``metrics.PacketLog``. It joins the
-log when it is created, as ``Unterminated`` until a delivery or drop ends it.
-It stores neither its id nor its kind: its id is its position in the log, and
-its kind is its class, ``protocol.Interest`` or ``protocol.Data``. Routes are
-shared per run: every packet on a route holds the same ``nodes`` tuple, and
-every data packet answering it the same reversed tuple, from the run's route
-table (see ``protocol.Routes``).
+log when it is created, as ``Unterminated`` until a delivery or drop ends it;
+its id is its position in the log. Every packet is a ``protocol.Packet``, one
+class, so CPython can specialize each packet attribute read for it. The run
+makes its route table and its name table (see ``protocol``) next to its log.
 
 The cyclic garbage collector is paused for the event loop, and for the whole
 ``cli.run_single`` and ``cli.run_batch`` calls. A run makes no reference
@@ -212,8 +210,9 @@ class Simulation:
         self._buffer_packets = config.buffer_packets
         self._propagation_delay_s = config.propagation_delay_s
         self.packet_log = metrics.PacketLog()
-        # Each route once per run, with its reverse, for every packet on it.
+        # The run's route and name tables (see ``protocol``).
         self._routes = protocol.Routes()
+        self._names: dict[int, list[tuple[int, int]]] = {}
         self.load_log = metrics.LoadLog()
         # Channels that have transmitted since a path update last found them
         # idle for a whole load window, by channel id.
@@ -306,7 +305,7 @@ class Simulation:
             tables = self.tables = self._build_tables()
         prefix = self.topology.prefixes[interest.prefix_id]
         paths = tables.paths(interest.consumer, interest.prefix_id)
-        packets = protocol.split_interest(prefix, paths, now, self._routes)
+        packets = protocol.split_interest(prefix, paths, now, self._routes, self._names)
         self.packet_log.packets.extend(packets)
         for packet in packets:
             self._forward(packet, 0, now)
@@ -395,8 +394,9 @@ def run(config, topology, interests):
     ``protocol.RouteUnavailableError``, a ValueError, when a consumer can reach
     no anchor of its prefix: only a hand-built disconnected ``Topology`` can.
 
-    Packets on equal routes share one ``nodes`` tuple. The cyclic collector is
-    paused while events are handled, which is safe because a run makes no
-    reference cycles, and is left on or off as the caller had it.
+    Packets share routes and chunk names per run (see ``protocol``). The
+    cyclic collector is paused while events are handled, which is safe
+    because a run makes no reference cycles, and is left on or off as the
+    caller had it.
     """
     return Simulation(config, topology, interests).run()

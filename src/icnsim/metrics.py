@@ -72,8 +72,9 @@ class PacketLog:
     """A run's packets (``protocol.Packet``), in id order: a packet's id is its position.
 
     ``packets`` holds the packets themselves, which store no id. ``len``
-    counts them, iteration gives ``PacketRecord`` views, built on each read,
-    and ``==`` compares the packets.
+    counts them, iteration gives ``PacketRecord`` views, built on each read
+    with the packet's ``name`` unpacked into ``prefix_id`` and
+    ``chunk_index``, and ``==`` compares the packets.
     """
 
     packets: list[protocol.Packet] = field(default_factory=list)
@@ -84,8 +85,7 @@ class PacketLog:
     def __iter__(self):
         make = PacketRecord._make
         for packet_id, p in enumerate(self.packets):
-            yield make((packet_id, p.kind, p.prefix_id, p.chunk_index, p.nodes, p.created_s,
-                        p.terminated_s, p.outcome))
+            yield make((packet_id, p.kind, *p.name, p.nodes, p.created_s, p.terminated_s, p.outcome))
 
 
 @dataclass
@@ -184,10 +184,8 @@ def write_csv(topology, load_log: LoadLog, packet_log: PacketLog, summary: RunSu
     run id is never part of the template, so a ``%`` in it is written as is,
     and a topology with no channel writes no load line.
 
-    A packet's id is its position in the packet log. Routes repeat heavily,
-    so each distinct route's ``src,dst`` and ``-``-joined columns are
-    formatted once and cached by its ``nodes`` tuple; the rows are still
-    streamed, never held as one list.
+    ``packets.csv`` rows are streamed from ``_packet_rows``, never held as one
+    list.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -218,17 +216,23 @@ def write_csv(topology, load_log: LoadLog, packet_log: PacketLog, summary: RunSu
 
 
 def _packet_rows(run_id, packet_log):
-    """``packets.csv`` rows, each route's columns and each created time formatted once.
+    """``packets.csv`` rows, each name's, route's and created time's columns formatted once.
 
-    A row's packet id is its packet's position in the log. An interest's
+    A row's packet id is its packet's position in the log. Names and routes
+    are shared per run, so their columns are cached by the tuple. An interest's
     chunks and the data packets answering them share one created time, so the
     formatted times are cached by value. Zero is never cached: ``-0.0 == 0.0``
     as a key, yet an interest at ``-0.0`` prints ``-0.000000``, so each zero
     is formatted with its own sign.
     """
+    names: dict[tuple[int, int], str] = {}
     routes: dict[tuple[int, ...], tuple[str, str]] = {}
     times: dict[float, str] = {}
     for packet_id, p in enumerate(packet_log.packets):
+        name = p.name
+        ids = names.get(name)
+        if ids is None:
+            ids = names[name] = f"{name[0]},{name[1]}"
         nodes = p.nodes
         route = routes.get(nodes)
         if route is None:
@@ -240,7 +244,7 @@ def _packet_rows(run_id, packet_log):
             if created_s:
                 times[created_s] = created
         terminated = "" if p.terminated_s is None else f"{p.terminated_s:.6f}"
-        yield (f"{run_id},{packet_id},{p.kind},{p.prefix_id},{p.chunk_index},{route[0]},"
+        yield (f"{run_id},{packet_id},{p.kind},{ids},{route[0]},"
                f"{created},{terminated},{p.outcome},{route[1]}\n")
 
 

@@ -1,9 +1,18 @@
-"""Interest/data packet structures and the chunking and response rules."""
+"""Interest/data packet structures and the chunking and response rules.
+
+A run shares two tables among its packets, each made once per run and passed
+to the functions below. The route table (``Routes``) holds each route once,
+with its reverse. The name table is a dict from a prefix id to the list of its
+chunks' names, the ``(prefix_id, chunk_index)`` tuples, indexed by chunk
+index; ``split_interest`` fills a prefix's entry at its first interest. Every
+interest for a chunk and every data packet answering one hold the same name,
+so a chunk's two ids cost one shared slot per packet. One name table serves
+one topology's prefixes, since it is keyed by prefix id alone.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 INTEREST = "interest"
 DATA = "data"
@@ -49,42 +58,26 @@ class RouteUnavailableError(ValueError):
 class Packet:
     """One interest or data unit carrying its full source route.
 
-    A packet is an ``Interest`` or a ``Data``, and its class is its kind: the
-    class attribute ``kind`` is ``INTEREST`` or ``DATA``. Its size is its
-    kind's, ``INTEREST_SIZE_BITS`` or ``DATA_SIZE_BITS``, and its id is its
-    position in the run's packet log (``metrics.PacketLog``), so it stores
-    only what varies between packets. Routes are frozen at creation, so later
-    cost changes never reroute a packet, and loopless, so the hop a packet has
-    reached is the index of its node in ``nodes``: nothing changes in flight
-    until a delivery or drop ends the packet.
+    ``kind`` is ``INTEREST`` or ``DATA`` and fixes the packet's size,
+    ``INTEREST_SIZE_BITS`` or ``DATA_SIZE_BITS``. ``name`` is the chunk's
+    ``(prefix_id, chunk_index)`` tuple from the run's name table. A packet's
+    id is its position in the run's packet log (``metrics.PacketLog``), so it
+    stores six slots and takes 80 bytes. Routes are frozen at creation, so
+    later cost changes never reroute a packet, and loopless, so the hop a
+    packet has reached is the index of its node in ``nodes``: nothing changes
+    in flight until a delivery or drop ends the packet.
     """
 
-    prefix_id: int
-    chunk_index: int
+    kind: str
+    name: tuple[int, int]
     nodes: tuple[int, ...]
     created_s: float = 0.0
     terminated_s: float | None = None
     outcome: str = UNTERMINATED
 
 
-# Each kind is a dataclass of its own, so each gets its own generated
-# ``__init__``. CPython 3.11 specializes an attribute store for one class, and
-# one ``__init__`` shared by both kinds would miss on about half the packets.
-# The empty ``__slots__`` is written out: ``slots=True`` on a subclass repeats
-# the base's slots on Python 3.10, which would make each packet larger.
-@dataclass
-class Interest(Packet):
-    __slots__ = ()
-    kind: ClassVar[str] = INTEREST
-
-
-@dataclass
-class Data(Packet):
-    __slots__ = ()
-    kind: ClassVar[str] = DATA
-
-
-def split_interest(prefix, paths, now: float, routes: Routes) -> list[Interest]:
+def split_interest(prefix, paths, now: float, routes: Routes,
+                   names: dict[int, list[tuple[int, int]]]) -> list[Packet]:
     """One interest packet per 8 MB chunk of the prefix's data object.
 
     ``paths`` are ranked ``(cost, nodes)`` pairs, as ``routing.RouteSet.paths``
@@ -92,28 +85,32 @@ def split_interest(prefix, paths, now: float, routes: Routes) -> list[Interest]:
     Single mode passes only the cheapest path, so every chunk takes it; multi
     mode passes up to k, and degrades to single-path when only one loopless
     path exists. Each chunk's ``nodes`` is the tuple that ``routes``, the run's
-    route table, holds for its path; a path not yet in the table is stored
-    there.
+    route table, holds for its path, and its ``name`` the tuple that ``names``,
+    the run's name table, holds for it; a path or prefix not yet in its table
+    is stored there.
     """
     if not paths:
         raise RouteUnavailableError(f"no path toward prefix {prefix.prefix_id}")
     chunks = prefix.size_mb // CHUNK_SIZE_MB
     shared = [routes[nodes][0] for _, nodes in paths[:chunks]]
-    return [Interest(prefix.prefix_id, chunk, shared[chunk % len(shared)], now)
-            for chunk in range(chunks)]
+    prefix_names = names.get(prefix.prefix_id)
+    if prefix_names is None:
+        prefix_names = names[prefix.prefix_id] = [(prefix.prefix_id, chunk) for chunk in range(chunks)]
+    return [Packet(INTEREST, name, shared[chunk % len(shared)], now)
+            for chunk, name in enumerate(prefix_names)]
 
 
-def make_data_response(interest: Packet, node: int, routes: Routes) -> Data:
+def make_data_response(interest: Packet, node: int, routes: Routes) -> Packet:
     """The data chunk answering an interest that reached its anchor, ``node``.
 
-    The route is the interest's route reversed: the tuple that ``routes``, the
-    run's route table, holds for it, so responses on one route share it. An
-    interest route not yet in the table is stored there. The data packet
-    inherits the interest's creation time, so its delivery time spans the
-    full request round trip.
+    It holds the interest's name. The route is the interest's route reversed:
+    the tuple that ``routes``, the run's route table, holds for it, so
+    responses on one route share it. An interest route not yet in the table is
+    stored there. The data packet inherits the interest's creation time, so
+    its delivery time spans the full request round trip.
     """
     if interest.kind != INTEREST:
         raise RuntimeError(f"data response requested for a {interest.kind} packet")
     if node != interest.nodes[-1]:
         raise RuntimeError(f"data response requested at node {node}, not at the interest's anchor")
-    return Data(interest.prefix_id, interest.chunk_index, routes[interest.nodes][1], interest.created_s)
+    return Packet(DATA, interest.name, routes[interest.nodes][1], interest.created_s)

@@ -125,11 +125,11 @@ def test_criterion_6_physical_bounds(counted_runs):
             assert s.load_mbps <= capacity[s.channel_id] * (1 + 1e-9), (count, s)
 
     # Serialization delay spot checks: delay = size / capacity exactly.
-    checks = ((P.Data, 2048.0, 0.03125), (P.Interest, 512.0, 0.0015625))
+    checks = ((P.DATA, 2048.0, 0.03125), (P.INTEREST, 512.0, 0.0015625))
     for kind, capacity, expected in checks:
         topo = make_topology(2, [(0, 1, capacity)], [Prefix(0, 8, (1,))])
         sim = E.Simulation(SimulationConfig(nodes=2, edges=1, prefixes=1), topo, [])
-        packet = kind(0, 0, (0, 1))
+        packet = P.Packet(kind, (0, 0), (0, 1))
         sim._forward(packet, 0, 0.0)
         _, end, _ = sim.channels[0].sent[0]
         assert end == expected

@@ -22,8 +22,6 @@ def two_node_topology(capacity=1024.0, size_mb=16):
     return make_topology(2, [(0, 1, capacity)], [Prefix(0, size_mb, (1,))])
 
 
-KINDS = {P.INTEREST: P.Interest, P.DATA: P.Data}
-
 RECORD = attrgetter("packet_id", "kind", "prefix_id", "chunk_index", "nodes", "created_s",
                     "terminated_s", "outcome")
 
@@ -61,7 +59,7 @@ def short_config(**overrides):
 def test_serialization_delay(kind, capacity, expected):
     sim = E.Simulation(short_config(), two_node_topology(capacity=capacity), [])
     state = sim.channels[0]
-    sim._forward(KINDS[kind](0, 0, (0, 1)), 0, 0.0)
+    sim._forward(P.Packet(kind, (0, 0), (0, 1)), 0, 0.0)
     start, end, _ = state.sent[0]
     assert end - start == expected
 
@@ -233,7 +231,7 @@ def test_channel_busy_across_a_whole_window_logs_exactly_capacity():
 def test_tail_drop_at_buffer_capacity():
     sim = E.Simulation(short_config(), two_node_topology(), [])
     state = sim.channels[0]
-    packets = [P.Interest(0, 0, (0, 1)) for _ in range(65)]
+    packets = [P.Packet(P.INTEREST, (0, 0), (0, 1)) for _ in range(65)]
     for packet in packets:
         sim._forward(packet, 0, 0.0)
     assert len(state.queue) == 64
@@ -514,7 +512,7 @@ def test_receive_at_wrong_node_is_fatal():
     # route (node 2).
     topo = make_topology(3, [(0, 1, 1024.0), (1, 2, 1024.0)], [Prefix(0, 8, (2,))])
     sim = E.Simulation(short_config(), topo, [])
-    packet = P.Interest(0, 0, (0, 1))
+    packet = P.Packet(P.INTEREST, (0, 0), (0, 1))
     for node, reason in ((0, "source"), (2, "off its route")):
         with pytest.raises(E.SimulationError, match=reason):
             sim._handle_receive(0.0, (node, packet))
@@ -721,6 +719,19 @@ def test_packets_on_equal_routes_share_one_tuple():
         packets = [p for p in records if p.kind == kind]
         assert len({p.nodes for p in packets}) < len(packets)
         assert len({id(p.nodes) for p in packets}) == len({p.nodes for p in packets})
+
+
+def test_packets_of_one_chunk_share_one_name():
+    routes, names = P.Routes(), {}
+    prefix = Prefix(4, 24, (2,))
+    first, second = (P.split_interest(prefix, [(1.0, (0, 2))], now, routes, names) for now in (0.0, 1.0))
+    assert [p.name for p in first] == [(4, 0), (4, 1), (4, 2)]
+    assert all(a.name is b.name for a, b in zip(first, second))
+    assert P.make_data_response(first[1], 2, routes).name is first[1].name
+    _, (_, log) = mesh_run(buffer_packets=2)
+    distinct = {p.name for p in log.packets}
+    assert len(distinct) < len(log.packets)
+    assert len({id(p.name) for p in log.packets}) == len(distinct)
 
 
 def test_conservation_and_route_reversal_on_mesh():

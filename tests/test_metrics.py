@@ -12,14 +12,11 @@ from icnsim.topology import Prefix, Topology, make_topology
 from oracles import exact_sum
 
 
-KINDS = {P.INTEREST: P.Interest, P.DATA: P.Data}
-
-
 def record(kind=P.DATA, created=0.0, terminated=1.0, outcome=P.DELIVERED, route="0-1", prefix=0,
            chunk=0):
     """A terminated packet as the engine logs it; its position in a ``PacketLog`` is its id."""
     nodes = tuple(int(n) for n in route.split("-"))
-    return KINDS[kind](prefix, chunk, nodes, created, terminated, outcome)
+    return P.Packet(kind, (prefix, chunk), nodes, created, terminated, outcome)
 
 
 def written(packets):
@@ -40,7 +37,8 @@ def test_packet_log_records_number_packets_by_position():
     # Equal packets in the same order make equal logs; the kind is part of a packet.
     assert log == M.PacketLog(list(packets))
     assert log != M.PacketLog(packets[::-1])
-    assert M.PacketLog([P.Interest(0, 0, (0, 1))]) != M.PacketLog([P.Data(0, 0, (0, 1))])
+    interest, data = (M.PacketLog([P.Packet(kind, (0, 0), (0, 1))]) for kind in (P.INTEREST, P.DATA))
+    assert interest != data
 
 
 # -- histogram -------------------------------------------------------------
