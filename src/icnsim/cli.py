@@ -119,11 +119,10 @@ def generate_scenario(config, topology, rng: random.Random) -> list[InterestEven
 
 
 def build_inputs(config):
-    """Topology and interest schedule for a seed, once ``config.validate()`` passes.
+    """Topology and interest schedule for a seed; raises ValueError unless ``config.validate()`` passes.
 
     Structure and scenario come from separate seed-derived streams and the
-    engine consumes no randomness, so toggling the routing mode can never
-    perturb what is being simulated.
+    engine consumes no randomness, so the routing mode never perturbs them.
     """
     config.validate()
     rng_topology = random.Random(f"{config.seed}/topology")
@@ -143,11 +142,7 @@ def _execute(config, topology, scenario):
 
 @engine.collector_paused
 def run_single(config):
-    """One run; writes loads.csv, packets.csv, summary.csv, histogram.csv.
-
-    The cyclic collector is paused for the whole call (see
-    ``engine.collector_paused``).
-    """
+    """One run, collector paused (see ``engine.collector_paused``); writes its four files."""
     topology, scenario = build_inputs(config)
     load_log, packet_log, delays, summary = _execute(config, topology, scenario)
     bins = metrics.histogram(delays, config.histogram_bin_s)
@@ -162,10 +157,9 @@ def run_single(config):
 def run_batch(config, runs: int):
     """Paired single/multi runs on seeds seed..seed+runs-1; writes batch.csv.
 
-    Both modes of a pair run on one topology and interest schedule, built
-    once per seed, so mode is the only varied factor; a run mutates neither.
-    Each mode uses its default k. The cyclic collector is paused for the whole
-    call (see ``engine.collector_paused``).
+    Both modes of a seed run on one topology and interest schedule, built
+    once, with their default k, whatever ``mode`` and ``k`` the config holds;
+    a run mutates neither. Collector paused, see ``engine.collector_paused``.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")

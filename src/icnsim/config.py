@@ -18,7 +18,8 @@ class SimulationConfig:
     prefixes, interests, interest_window_s. Output settings, read by the
     summary and the output files: warmup_s, cooldown_start_s, histogram_bin_s,
     out_dir. ``k`` left unset resolves to 3 in multi mode and 1 in single mode,
-    which uses one path and so takes no other k.
+    which uses one path and so takes no other k. A NaN or infinite float fails
+    validation.
     """
 
     seed: int = 0
@@ -51,7 +52,7 @@ class SimulationConfig:
                 raise ValueError(f"{name} must be a finite number, got {value}")
 
     def validate_run(self) -> "SimulationConfig":
-        """Check the settings ``engine.run`` reads: raise ValueError for a bad one, else return self."""
+        """Check the run settings: raise ValueError for a bad one, else return self."""
         self._require_finite(("horizon_s", "path_updates_per_s", "load_window_s", "propagation_delay_s",
                               "epsilon_mbps"))
         if self.mode not in (MODE_SINGLE, MODE_MULTI):

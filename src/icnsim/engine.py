@@ -1,84 +1,44 @@
 """Deterministic discrete-event core with FIFO per-channel buffers.
 
-Packets are source-routed: the full node path is frozen into the packet at
-creation and intermediate nodes simply follow it. Each channel direction
-serializes one packet at a time (delay = size / capacity) from a tail-drop
-queue of at most ``config.buffer_packets`` packets, whose head is the packet
-on the wire. Every run setting, buffer size and cost clamp included, comes
-from the ``SimulationConfig``; the topology holds only the graph.
+A channel direction's queue head is the packet on the wire. These invariants
+keep a run exact:
 
-Periodic path-update events measure per-channel load over a sliding window,
-log them, and retire the routing tables. The k-th update schedules the next
-one at ``k / path_updates_per_s``, where k is the number of rows logged. Only
-channels that transmitted inside the window are measured; every other channel
-logs exactly 0.0, which is what its busy time over the window would give. A channel keeps only the
-transmissions that end after the latest window's start, which never moves
-back; the oldest kept one stores the busy total before it, so loads equal a
-whole-run history's to the bit.
+Events are ``(time, seq, kind, payload)`` tuples on one heap, and every push
+takes the next seq from the ``Simulation``'s one counter, so ties pop in push
+order. The run ends at the first pop at or past the horizon, which always
+comes, since the next path update is always queued. No push falls before the
+event being handled: every setting that ``validate_run`` accepts gives a
+finite, non-negative delay, and a transmission takes a positive time.
 
-Fresh tables are built at the first lookup after an update, from the load
-row logged at that update, the log's last: the cost view, a tuple of costs
-indexed by channel id, starts from every channel's idle cost, computed once
-per run as the floor of the searches' lower bounds, and overwrites only the
-channels with a nonzero load. An update with no interest before the next one
-builds nothing. The lower bounds are computed once per run too, one reverse
-Dijkstra per prefix at its first lookup, under the idle costs: no load is
-negative and a channel's cost never falls as its load rises, so every view is
-at least the idle view.
+Only the next interest waits on the heap. Every interest's event is built
+and numbered at set-up; the others wait in a list sorted latest first, and
+the handler of one interest pushes the next. Keys are unique, so events pop
+in the same order as with every interest pushed at the start, while the heap
+stays at tens of entries.
 
-Events are ``(time, seq, kind, payload)`` tuples on one heap, handled in
-(time, seq) order. The ``Simulation`` pushes every event itself with the next
-seq from its one counter, so ties resolve in push order. The run ends at the
-first pop at or past the horizon, which is not handled: an event at exactly
-the horizon is not part of the run. That pop always comes, since the next
-path update is always queued. No push falls before the event being handled:
-``validate_run`` checks that the horizon is positive, the update rate finite
-and positive, and the propagation delay finite and not negative, and a
-transmission takes a positive time.
+An arrival with no propagation delay, sent when nothing on the heap is due
+now, would pop next, so the completion that sends it handles it in place,
+after starting the channel's next transmission. What the arrival pushes then
+still follows that transmission's completion, as if it had been popped; its
+unused seq only leaves a gap in the tie-breaks.
 
-Only the next interest waits on the heap. Every interest's event is built and
-numbered at set-up, and the others wait in a list sorted latest first; the
-handler of one interest pushes the next. Keys are unique, so the interest on
-the heap precedes every other pending one, and events pop in the same order
-as with all interests pushed at the start. The heap then holds tens of
-entries instead of thousands, so each push and pop sifts through fewer
-levels.
+A hop is one chain of handlers with no helper call between them:
+``_forward``, ``_handle_transmit_complete``, ``_handle_receive``. Routes are
+loopless, so the node an arrival reaches fixes its hop and a packet stores
+none. An arrival off the route, or at its source, is a ``SimulationError``.
 
-An arrival with no propagation delay is due now. When nothing on the heap is
-due now it would pop next, so the completion that sends it handles it in
-place, after starting the channel's next transmission. What the arrival
-pushes then still follows that transmission's completion, as it would if the
-arrival had been popped, and its unused seq only leaves a gap in the
-tie-breaks.
+The k-th path update logs a load row and schedules the next update at
+``k / path_updates_per_s``. It measures only the channels that transmitted
+inside the window; every other one logs exactly 0.0, its busy time there. A
+channel keeps only the transmissions that end after the latest window's
+start, which never moves back, and the oldest kept one stores the busy total
+before it, so loads equal a whole-run history's to the bit.
 
-A hop is one chain of three handlers, with no helper call between them:
-``_forward`` queues a packet, or drops it, and starts an idle channel's
-transmission itself; ``_handle_transmit_complete`` starts the next queued
-one; ``_handle_receive`` forwards the packet or ends it as delivered. A
-packet stores no hop: ``_forward`` is given the index of the node it sends
-from, 0 for a new packet, and ``_handle_receive`` finds the arrival's node in
-the route, which is loopless, so the node fixes the hop. An arrival at a node
-off the route, or at the route's source, which no arrival can reach, is a
-``SimulationError``.
-
-The benchmark tracer replaces ``EventQueue.pop`` on the class, which pops
-every event but the arrivals handled in place, wraps
-``ChannelState.busy_seconds`` at every load sample, and wraps the
-module-level calls into ``protocol`` and ``routing``, so the engine looks each
-of them up at run time. Untraced, ``EventQueue.pop`` is ``heapq.heappop``
-itself, which the run reads off the class when it starts and calls on the
-heap.
-
-A packet's object is kept in the run's ``metrics.PacketLog``. It joins the
-log when it is created, as ``Unterminated`` until a delivery or drop ends it;
-its id is its position in the log. Every packet is a ``protocol.Packet``, one
-class, so CPython can specialize each packet attribute read for it. The run
-makes its route table and its name table (see ``protocol``) next to its log.
-
-The cyclic garbage collector is paused for the event loop, and for the whole
-``cli.run_single`` and ``cli.run_batch`` calls. A run makes no reference
-cycles, so reference counting alone frees everything it drops, and the
-collector would only walk the growing packet log again and again.
+Tables are built at the first lookup after an update, from the row it
+logged, so routes equal an eager rebuild's. A cost view starts from the idle
+costs, which are also the floor of the run's one ``routing.LowerBounds``: no
+load is negative and a cost never falls as load rises, so no view is below
+the idle view.
 """
 
 from __future__ import annotations
@@ -90,6 +50,8 @@ import itertools
 from collections import deque
 from typing import NamedTuple
 
+# Called as ``protocol.f`` and ``routing.f``, looked up at each call, so that
+# the benchmark tracer can wrap them.
 from . import metrics, protocol, routing
 
 # Event kinds index the handler tuple that ``Simulation.run`` builds.
@@ -99,11 +61,11 @@ INIT_INTEREST, TRANSMIT_COMPLETE, RECEIVE, PATH_UPDATE = range(4)
 def collector_paused(work):
     """Decorator: ``work`` runs with the cyclic garbage collector off.
 
-    The collector is turned back on afterwards only if it was on before, also
-    when ``work`` raises. A function's locals are freed by reference counting
-    when it returns, before the collector resumes, so a decorated function
-    that returns only summaries never has its logs walked by the collector,
-    not even at the first collection after resuming.
+    A run makes no reference cycles, so reference counting frees all it
+    drops, and the collector would only walk the growing packet log again and
+    again. It is turned back on afterwards only if it was on before, also when
+    ``work`` raises, and only after ``work``'s locals are freed, so logs that
+    ``work`` does not return are never walked.
     """
     @functools.wraps(work)
     def paused(*args, **kwargs):
@@ -135,10 +97,10 @@ class InterestEvent(NamedTuple):
 
 
 class EventQueue:
-    """Holds only ``pop``, which the run calls on its event heap.
+    """Holds only ``pop``, ``heapq.heappop``, which a run reads off the class at its start.
 
-    It stays a class only so that the benchmark tracer can count pops by
-    replacing ``pop``; the heap itself is ``Simulation._heap``.
+    A class only so that the benchmark tracer can count events by replacing
+    ``pop``; it counts every event but the arrivals handled in place.
     """
 
     pop = staticmethod(heapq.heappop)
@@ -147,12 +109,10 @@ class EventQueue:
 class ChannelState:
     """Runtime state of one channel direction.
 
-    The queue head is the packet on the wire. ``sent`` holds ``(start, end,
-    busy seconds before start)`` per transmission that a later load window
-    can still read, oldest first; path updates prune it from the left.
-    ``busy_total`` sums every transmission's busy seconds so far, a left fold
-    in transmission order. ``serialization_s`` maps a packet kind to the
-    seconds a packet of that kind takes to serialize: its size over the rate.
+    ``sent`` holds ``(start, end, busy seconds before start)`` per transmission
+    a later load window can still read, oldest first. ``busy_total`` sums every
+    transmission's busy seconds, in order. ``serialization_s`` maps a packet
+    kind to its size over the rate.
     """
 
     __slots__ = ("capacity_mbps", "channel_id", "to_node", "serialization_s", "queue", "sent",
@@ -172,11 +132,9 @@ class ChannelState:
     def busy_seconds(self, lo, hi):
         """Busy seconds in [lo, hi], given sent[0] ends after lo and sent[-1] starts by hi.
 
-        Each bound clips a transmission with plain comparisons, not the
-        builtins ``max(0.0, min(hi, end) - start)``: a builtin call costs far
-        more than the arithmetic. The floats are the same, ties included:
-        at ``end == hi`` both keep the equal value, and ``end - start > 0.0``
-        exactly when ``end > start``. No operand is NaN or a negative zero.
+        A method so that the benchmark tracer can time each load sample. Each
+        bound clips one transmission by comparison, a span below zero counting
+        0.0; no operand is NaN or a negative zero.
         """
         start, end, before = self.sent[-1]
         if end > hi:
@@ -189,13 +147,7 @@ class ChannelState:
 
 
 class Simulation:
-    """One run over a fixed topology and interest schedule.
-
-    The event heap, ``_heap``, starts with the first path update and the
-    earliest interest. The other interests' events, built and given their
-    seqs here in input order, wait in ``_pending``, latest first, until the
-    interest before each one is handled.
-    """
+    """One run over a fixed topology and interest schedule, in the module docstring's event order."""
 
     def __init__(self, config, topology, interests):
         config.validate_run()
@@ -217,9 +169,7 @@ class Simulation:
         # Channels that have transmitted since a path update last found them
         # idle for a whole load window, by channel id.
         self._active: dict[int, ChannelState] = {}
-        # No view is below the idle view, each channel's cost with no load, so
-        # its distances bound every table's searches; each prefix's are
-        # computed at its first lookup. A cost view starts from its floor.
+        # Floored at the idle costs (see the module docstring).
         self._bounds = routing.LowerBounds(topology, routing.idle_costs(topology, config.epsilon_mbps))
         # The tables for the last logged load row, or None until a lookup needs them.
         self.tables: routing.RouteSet | None = None
@@ -243,12 +193,7 @@ class Simulation:
 
     @collector_paused
     def run(self):
-        """Handle events up to the horizon; returns (load_log, packet_log).
-
-        The cyclic collector is off while events are handled, since a run
-        makes no reference cycles, and is turned back on afterwards only if
-        it was on when the run started, also when a handler raises.
-        """
+        """Handle events to the horizon; returns the logs. Collector paused, see ``collector_paused``."""
         pop = EventQueue.pop
         heap = self._heap
         # Indexed by kind. Local: bound methods kept on self would hold a
@@ -256,7 +201,6 @@ class Simulation:
         handlers = (self._handle_init_interest, self._handle_transmit_complete,
                     self._handle_receive, self._handle_path_update)
         horizon = self.config.horizon_s
-        # A path update is always queued, so a pop at or past the horizon always comes.
         while True:
             now, _, kind, payload = pop(heap)
             if now >= horizon:
@@ -277,7 +221,6 @@ class Simulation:
             while sent and sent[0][1] <= lo:
                 sent.popleft()
             if not sent:
-                # Idle for the whole window: its busy time there is exactly 0.0.
                 del active[channel_id]
             else:
                 cap = state.capacity_mbps
@@ -311,10 +254,7 @@ class Simulation:
             self._forward(packet, 0, now)
 
     def _build_tables(self):
-        """Routing tables for the load row logged at the last path update.
-
-        The cost view starts from the idle costs, the lower bounds' floor.
-        """
+        """Routing tables for the load row logged at the last path update."""
         cfg = self.config
         view = routing.compute_cost_view(self.topology, self._bounds.floor, self.load_log.rows[-1],
                                          cfg.epsilon_mbps)
@@ -325,7 +265,6 @@ class Simulation:
         packet = queue.popleft()
         heap = self._heap
         delay = self._propagation_delay_s
-        # An arrival due now with nothing else due would pop next: handle it here.
         inline = not delay and (not heap or heap[0][0] > now)
         if not inline:
             heapq.heappush(heap, (now + delay, next(self._seqs), RECEIVE, (state.to_node, packet)))
@@ -354,7 +293,6 @@ class Simulation:
         packet.outcome = protocol.DELIVERED
         packet.terminated_s = now
         if packet.kind == protocol.INTEREST:
-            # Anchor reached: answer with a data chunk on the reversed route.
             data = protocol.make_data_response(packet, node, self._routes)
             self.packet_log.packets.append(data)
             self._forward(data, 0, now)
@@ -362,10 +300,7 @@ class Simulation:
     # -- channel mechanics ----------------------------------------------
 
     def _forward(self, packet, hop, now):
-        """Queue the packet on its channel out of ``nodes[hop]``, or drop it if that buffer is full.
-
-        An idle channel starts transmitting it at once.
-        """
+        """Queue the packet out of ``nodes[hop]``, sending it on an idle channel, or drop it if full."""
         route = packet.nodes
         state = self._outgoing[route[hop]][route[hop + 1]]
         queue = state.queue
@@ -390,13 +325,7 @@ def run(config, topology, interests):
     the topology and interests stand in for its scenario settings. Raises
     ValueError for a bad run setting, or for an interest whose time is NaN or
     outside [0, ``config.horizon_s``), whose prefix is unknown, or whose
-    consumer is not a node or anchors the prefix. Raises
-    ``protocol.RouteUnavailableError``, a ValueError, when a consumer can reach
-    no anchor of its prefix: only a hand-built disconnected ``Topology`` can.
-
-    Packets share routes and chunk names per run (see ``protocol``). The
-    cyclic collector is paused while events are handled, which is safe
-    because a run makes no reference cycles, and is left on or off as the
-    caller had it.
+    consumer is not a node or anchors the prefix, and
+    ``protocol.RouteUnavailableError`` when a consumer can reach no anchor.
     """
     return Simulation(config, topology, interests).run()

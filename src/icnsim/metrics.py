@@ -19,7 +19,7 @@ class LoadSample(NamedTuple):
 
 @dataclass
 class LoadLog:
-    """Channel loads in Mbps: one row per path update, indexed by channel id.
+    """Channel loads in Mbps: one row per path update, in time order, indexed by channel id.
 
     Iterating yields one ``LoadSample`` per channel and time, in (time,
     channel) order; ``len`` counts those samples.
@@ -42,7 +42,7 @@ class LoadLog:
 
 
 class PacketRecord(NamedTuple):
-    """One packet of a run as ``packets.csv`` reports it; ``packet_id`` is its log position."""
+    """A packet's fields and id (see ``PacketLog``), its name unpacked, as ``packets.csv`` has them."""
 
     packet_id: int
     kind: str
@@ -69,12 +69,11 @@ class PacketRecord(NamedTuple):
 
 @dataclass
 class PacketLog:
-    """A run's packets (``protocol.Packet``), in id order: a packet's id is its position.
+    """A run's ``protocol.Packet``s in creation order: a packet's id is its position in ``packets``.
 
-    ``packets`` holds the packets themselves, which store no id. ``len``
-    counts them, iteration gives ``PacketRecord`` views, built on each read
-    with the packet's ``name`` unpacked into ``prefix_id`` and
-    ``chunk_index``, and ``==`` compares the packets.
+    A packet joins at its creation and stores no id. ``len`` counts the
+    packets, iteration gives ``PacketRecord`` views, built on each read, and
+    ``==`` compares the packets.
     """
 
     packets: list[protocol.Packet] = field(default_factory=list)
@@ -135,17 +134,13 @@ def delivery_times(packet_log: PacketLog) -> list[float]:
 def summarize(load_log: LoadLog, packet_log: PacketLog, delays: list[float], warmup_end: float,
               cooldown_start: float, *, run_id: str = "", mode: str = "", interest_count: int = 0,
               seed: int = 0) -> RunSummary:
-    """Run statistics.
+    """Run statistics as the README's Model section defines them.
 
-    Load statistics use only samples with warmup_end <= t < cooldown_start:
-    offered load is the per-sample-time sum over channels averaged over times,
-    average load is offered load over the channel count, and the load spread
-    is the population standard deviation across channels at each sample time,
-    averaged over times. Packet statistics are not time-filtered; average
-    delivery is the mean of ``delays``, the log's ``delivery_times``, which
-    the caller computes once per run. Every sum is a correctly
-    rounded ``math.fsum`` divided once, so no figure depends on the order of
-    channels or packets.
+    Load statistics use only samples with warmup_end <= t < cooldown_start;
+    pass ``config.warmup_s`` and ``config.cooldown_start_s``. Packet
+    statistics are not time-filtered. ``delays`` is the log's
+    ``delivery_times``. Every sum is a correctly rounded ``math.fsum`` divided
+    once, so no figure depends on the order of channels or packets.
     """
     rows = [row for t, row in zip(load_log.times, load_log.rows) if warmup_end <= t < cooldown_start]
     channels = len(rows[0]) if rows else 0
@@ -177,15 +172,11 @@ def write_csv(topology, load_log: LoadLog, packet_log: PacketLog, summary: RunSu
               out_dir) -> list[Path]:
     """Write loads.csv, packets.csv, and summary.csv under out_dir, rows in the order given.
 
-    Each path update's loads are formatted by one ``%`` call: a template per
-    run holds every channel's ``channel_id,from,to,%.6f`` line, and the
-    update's ``run_id,time_s,`` head is put before each line after. ``%.6f``
-    formats a float or an int exactly as the ``:.6f`` format spec does. The
-    run id is never part of the template, so a ``%`` in it is written as is,
-    and a topology with no channel writes no load line.
-
-    ``packets.csv`` rows are streamed from ``_packet_rows``, never held as one
-    list.
+    Each path update's loads are one ``%`` call on a per-run template of
+    ``channel_id,from,to,%.6f`` lines (``%.6f`` formats as ``:.6f`` does), and
+    the ``run_id,time_s,`` head goes before each line after, so a ``%`` in the
+    run id is written as is and a topology with no channel writes no load
+    line. ``packets.csv`` rows are streamed, never held as one list.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -216,14 +207,10 @@ def write_csv(topology, load_log: LoadLog, packet_log: PacketLog, summary: RunSu
 
 
 def _packet_rows(run_id, packet_log):
-    """``packets.csv`` rows, each name's, route's and created time's columns formatted once.
+    """``packets.csv`` rows, each shared name, route and created time formatted once.
 
-    A row's packet id is its packet's position in the log. Names and routes
-    are shared per run, so their columns are cached by the tuple. An interest's
-    chunks and the data packets answering them share one created time, so the
-    formatted times are cached by value. Zero is never cached: ``-0.0 == 0.0``
-    as a key, yet an interest at ``-0.0`` prints ``-0.000000``, so each zero
-    is formatted with its own sign.
+    A chunk's packets share a created time, so times are cached by value, but
+    never zero: ``-0.0 == 0.0`` as a key, yet ``-0.0`` prints ``-0.000000``.
     """
     names: dict[tuple[int, int], str] = {}
     routes: dict[tuple[int, ...], tuple[str, str]] = {}

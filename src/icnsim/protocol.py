@@ -1,13 +1,12 @@
-"""Interest/data packet structures and the chunking and response rules.
+"""Packets, the chunking and response rules, and the per-run tables they share.
 
-A run shares two tables among its packets, each made once per run and passed
-to the functions below. The route table (``Routes``) holds each route once,
-with its reverse. The name table is a dict from a prefix id to the list of its
-chunks' names, the ``(prefix_id, chunk_index)`` tuples, indexed by chunk
-index; ``split_interest`` fills a prefix's entry at its first interest. Every
-interest for a chunk and every data packet answering one hold the same name,
-so a chunk's two ids cost one shared slot per packet. One name table serves
-one topology's prefixes, since it is keyed by prefix id alone.
+A run makes two tables once and passes them to the functions below, so each
+route and each chunk name is stored once per run. The route table
+(``Routes``) holds each route with its reverse. The name table maps a prefix
+id to its chunks' ``(prefix_id, chunk_index)`` names, indexed by chunk;
+``split_interest`` fills a prefix's entry at its first interest. Every packet
+of a chunk, interest or data, holds the same name tuple. One name table
+serves one topology, since it is keyed by prefix id alone.
 """
 
 from __future__ import annotations
@@ -31,13 +30,7 @@ DATA_SIZE_BITS = 64_000_000
 
 
 class Routes(dict):
-    """A run's route table: each route once, with its reverse.
-
-    Keyed by an interest route's node tuple, it holds the ``(route, reversed
-    route)`` pair that every interest on that route and every data chunk
-    answering one share. A route missing at lookup is stored then. One table
-    lives as long as one run.
-    """
+    """A run's route table: route nodes -> ``(route, reversed route)``, stored at first lookup."""
 
     __slots__ = ()
 
@@ -49,8 +42,8 @@ class Routes(dict):
 class RouteUnavailableError(ValueError):
     """No forwarding path is known for the requested prefix.
 
-    Costs are finite and positive, so this means the consumer cannot reach
-    any anchor of the prefix: a disconnected topology, which is bad input.
+    Costs are finite, so the consumer cannot reach any anchor of the prefix:
+    a disconnected ``Topology`` built by hand, which ``make_topology`` rejects.
     """
 
 
@@ -58,14 +51,11 @@ class RouteUnavailableError(ValueError):
 class Packet:
     """One interest or data unit carrying its full source route.
 
-    ``kind`` is ``INTEREST`` or ``DATA`` and fixes the packet's size,
-    ``INTEREST_SIZE_BITS`` or ``DATA_SIZE_BITS``. ``name`` is the chunk's
-    ``(prefix_id, chunk_index)`` tuple from the run's name table. A packet's
-    id is its position in the run's packet log (``metrics.PacketLog``), so it
-    stores six slots and takes 80 bytes. Routes are frozen at creation, so
-    later cost changes never reroute a packet, and loopless, so the hop a
-    packet has reached is the index of its node in ``nodes``: nothing changes
-    in flight until a delivery or drop ends the packet.
+    ``kind`` is ``INTEREST`` or ``DATA`` and fixes the size, ``INTEREST_SIZE_BITS``
+    or ``DATA_SIZE_BITS``; ``name`` is the chunk's shared name. With no id
+    (see ``metrics.PacketLog``) a packet takes 80 bytes, and one class for both
+    kinds lets CPython specialize every packet attribute read. ``terminated_s``
+    and ``outcome`` keep their defaults until a delivery or drop ends it.
     """
 
     kind: str
@@ -78,16 +68,11 @@ class Packet:
 
 def split_interest(prefix, paths, now: float, routes: Routes,
                    names: dict[int, list[tuple[int, int]]]) -> list[Packet]:
-    """One interest packet per 8 MB chunk of the prefix's data object.
+    """One interest packet per 8 MB chunk of the prefix's data object, created at ``now``.
 
     ``paths`` are ranked ``(cost, nodes)`` pairs, as ``routing.RouteSet.paths``
-    returns them. Chunks are dealt round-robin across them, cheapest first.
-    Single mode passes only the cheapest path, so every chunk takes it; multi
-    mode passes up to k, and degrades to single-path when only one loopless
-    path exists. Each chunk's ``nodes`` is the tuple that ``routes``, the run's
-    route table, holds for its path, and its ``name`` the tuple that ``names``,
-    the run's name table, holds for it; a path or prefix not yet in its table
-    is stored there.
+    returns them; chunks are dealt round-robin across them, cheapest first.
+    Routes and names come from the run's tables, ``routes`` and ``names``.
     """
     if not paths:
         raise RouteUnavailableError(f"no path toward prefix {prefix.prefix_id}")
@@ -103,11 +88,8 @@ def split_interest(prefix, paths, now: float, routes: Routes,
 def make_data_response(interest: Packet, node: int, routes: Routes) -> Packet:
     """The data chunk answering an interest that reached its anchor, ``node``.
 
-    It holds the interest's name. The route is the interest's route reversed:
-    the tuple that ``routes``, the run's route table, holds for it, so
-    responses on one route share it. An interest route not yet in the table is
-    stored there. The data packet inherits the interest's creation time, so
-    its delivery time spans the full request round trip.
+    It holds the interest's name, its reversed route from ``routes``, and its
+    creation time, so its delivery time spans the full round trip.
     """
     if interest.kind != INTEREST:
         raise RuntimeError(f"data response requested for a {interest.kind} packet")

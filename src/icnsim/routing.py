@@ -1,36 +1,31 @@
 """Load-aware channel costs and loopless k-shortest-path forwarding tables (FIB).
 
-Path ranking is a Yen-style deviation search seeded by a best-first shortest
-path over (cost, node-sequence) labels, so equal-cost paths always order
-lexicographically by node sequence. The anchor set of a prefix acts as a
-virtual sink: the k paths for one prefix may end at different anchors, and a
-ranked path may pass through one anchor on its way to another.
+Paths are ranked by a Yen-style deviation search over (cost, node sequence)
+labels, so equal-cost paths order by node sequence. A prefix's anchors act as
+one virtual sink: its k paths may end at different anchors, and a path may
+pass one anchor on its way to another. These invariants keep the ranking
+exact:
 
-The searches are A* searches. A prefix's lower bound is every node's
-distance to its anchors under a floor view, a cost view that no table's view
-undercuts on any channel; ``LowerBounds`` computes it once per prefix and
-keeps it for every table that shares the floor. The bound is consistent for
-any view that dominates the floor, since a channel's floor cost never exceeds
-its cost in the view, and ``rebuild_tables`` rejects a view that does not. A
-simulation run uses its idle costs as the floor: a channel's cost never falls
-as its load rises, and no load is negative.
+Every search is A*. A prefix's lower bound h is every node's distance to its
+anchors under a floor view, which ``LowerBounds`` computes once per prefix.
+It is consistent for any view that is at least the floor on every channel,
+h(u) <= floor(u, v) + h(v) <= cost(u, v) + h(v), and ``rebuild_tables``
+rejects any other view. The bound changes which labels a search visits,
+never the paths it ranks.
 
-Spur searches are cut off. Once at least m candidates are pending, where m
-is the number of paths still wanted, no path dearer than the m-th cheapest
-candidate can be ranked, so a spur search gives up as soon as its lower bound
-exceeds that cost. Only strict excess over the cost plus a relative slack is
-cut: a path that ties the m-th candidate may still rank ahead of it by node
-sequence, and the lower bound sums the rest of a path backwards from its
-anchor, so where the view equals the floor, cost plus bound can exceed the
-path's cost in the last bits.
+A search cuts at its first pushed target. Labels pop in (cost plus bound,
+node sequence) order and a search returns the first target it pops, so once
+it has pushed a label ending at a target, no dearer label can pop first: the
+limit falls to that label's cost plus bound. This needs only the pop order;
+a label equal to the limit is kept, since it may pop first by node sequence.
 
-Every search also cuts at its first pushed target. Labels pop in (cost plus
-bound, node sequence) order and a search returns the first target it pops,
-so once it has pushed a label ending at a target, no label dearer than that
-one could pop before the search returns: the limit falls to that label's
-cost plus bound. This needs neither the bound's consistency nor any slack,
-only the pop order, and a label equal to the limit is kept, since it may pop
-first by node sequence.
+Spur searches are cut off too. With m paths still wanted and at least m
+candidates pending, no path dearer than C_m, the m-th cheapest candidate,
+can be ranked, now or later, since C_m never rises. A spur search gets the
+limit C_m * (1 + CUTOFF_SLACK): a tie with C_m is kept, since node sequence
+breaks it, and the slack covers the bound summing a path's rest backwards
+from its anchor, which can exceed the path's cost in the last bits where the
+view equals the floor.
 """
 
 from __future__ import annotations
@@ -67,10 +62,9 @@ def compute_cost_view(topology: Topology, idle: tuple[float, ...], loads,
                       epsilon_mbps: float) -> tuple[float, ...]:
     """Cost view: every channel's cost under ``loads``, indexed by channel id.
 
-    ``idle`` is ``idle_costs(topology, epsilon_mbps)``. ``loads`` is a load
-    row in Mbps, indexed by channel id like ``topology.channels``, such as a
-    row of a run's load log. A channel with no load keeps its idle cost,
-    which is exactly its cost under a load of 0.0.
+    ``idle`` is ``idle_costs(topology, epsilon_mbps)``; ``loads`` is a load row
+    in Mbps, such as a run's. A channel with no load keeps its idle cost,
+    exactly its cost under a load of 0.0.
     """
     costs = list(idle)
     channels = topology.channels
@@ -81,11 +75,7 @@ def compute_cost_view(topology: Topology, idle: tuple[float, ...], loads,
 
 
 def _dist_to_targets(topology, costs, targets):
-    """Cheapest directed cost from every node to its nearest target.
-
-    Reverse multi-source Dijkstra over incoming channels; under a floor view,
-    the lower bound of the path search for every view that dominates it.
-    """
+    """Cheapest directed cost from every node to its nearest target, by reverse Dijkstra."""
     dist = [inf] * len(topology.nodes)
     heap = []
     for t in targets:
@@ -107,34 +97,18 @@ def _dist_to_targets(topology, costs, targets):
 
 def _best_path(topology, costs, src, targets, bound, done, banned_first_hops, ban_trivial,
                root_cost, limit):
-    """Cheapest loopless path from src to any target, ties by node sequence.
+    """Cheapest loopless ``(cost, nodes)`` from src to any target within ``limit``, or None.
 
-    Costs continue the left fold from ``root_cost``, the cost of the root
-    ending at src, so the cost returned is the candidate's ranking cost.
+    Costs continue the fold from ``root_cost``, the cost of the root ending
+    at src, so the cost returned ranks the candidate. ``bound`` is consistent
+    and costs are positive (see the module docstring), so the first label
+    popped at a node is its minimal path under (cost, sequence): settling it
+    is sound, and every node on a popped path is already settled, so no pruned
+    alternative was needed for looplessness.
 
-    Best-first search over (cost + lower bound, node sequence) labels with
-    settled-node pruning. ``bound`` holds each node's distance to the targets
-    under a floor view that ``costs`` dominates channel by channel, so it is
-    consistent: a node's bound exceeds neither a channel's floor cost plus the
-    bound at its far end, nor therefore its cost in ``costs`` plus that bound.
-    Costs are strictly positive, so the first label popped at each node is the
-    minimal path to it under (cost, sequence), and settling nodes is sound:
-    every node on a popped label's path is itself already settled, so a
-    pruned alternative can never have been needed for looplessness.
-
-    ``done`` is the settled set, which the search fills: the caller passes a
-    fresh set of the nodes the path must avoid, src not among them. src is
-    expanded before the loop, so the first-hop bans and the trivial path are
-    checked once: with ``ban_trivial`` the single-node path is excluded (the
-    search must leave src even when src is itself a target).
-
-    No label whose cost plus lower bound exceeds ``limit`` enters the heap,
-    and the search returns None once none is left. Pushing a label that ends
-    at a target lowers ``limit`` to its cost plus bound: every dearer label
-    would pop after it, and the search returns at the first target it pops.
-    Labels within the limit pop in the same order as without it, so a path
-    within the limit is found exactly as before; equality is never cut, so a
-    tied label with a smaller node sequence still pops first.
+    ``done``, the settled set, starts as the nodes the path must avoid, src
+    not among them. src is expanded before the loop, so the first-hop bans
+    and ``ban_trivial`` (leave src even when it is a target) are checked once.
     """
     f = root_cost + bound[src]
     if f == inf or f > limit or src in done:
@@ -183,20 +157,12 @@ def _best_path(topology, costs, src, targets, bound, done, banned_first_hops, ba
 
 
 def _k_shortest(topology, costs, src, targets, k, bound):
-    """Yen's ranking of the k cheapest loopless paths from src to targets.
+    """Yen's ranking of the k cheapest loopless ``(cost, nodes)`` pairs from src to targets.
 
-    Returns the ranked ``(cost, nodes)`` pairs, cheapest first, ties by node
-    sequence. The pending candidates are one list kept in that order, and
-    ``seen`` keeps them unique, so the head is always the next to accept.
-
-    With m = k - len(accepted) paths still wanted and at least m candidates
-    pending, every path still to be accepted costs at most C_m, the cost of
-    the m-th cheapest pending candidate. Each spur search continues the root's
-    cost and gets the limit C_m * (1 + CUTOFF_SLACK) (inf while fewer than m
-    are pending): a candidate beyond it could never be accepted, and since C_m
-    never rises it could not be accepted later either. A candidate tying C_m
-    is kept, because the node sequence breaks the tie; the slack covers the
-    lower bound summing the rest of a path in another order.
+    The pending candidates are one list kept in ranked order and, by
+    ``seen``, unique, so its head is always the next to accept. Spur searches
+    get the cut-off that the module docstring derives, inf while fewer than
+    the wanted number are pending.
     """
     first = _best_path(topology, costs, src, targets, bound, set(), (), False, 0.0, inf)
     if first is None:
@@ -245,11 +211,9 @@ class LowerBounds:
     """Per-prefix lower bounds of the path search under one floor view.
 
     ``floor`` is a cost view indexed by channel id. ``bounds[prefix_id]`` is
-    the pair (the prefix's anchors as a frozenset, every node's distance to
-    them under ``floor``), computed at the first request and kept, so each
-    prefix costs one reverse Dijkstra however many tables read it. The
-    distances bound the search of every view that is at least ``floor`` on
-    every channel.
+    (the prefix's anchors as a frozenset, every node's distance to them under
+    ``floor``), computed at the first request and kept for every table. To
+    rank paths under one view alone, pass that view as the floor.
     """
 
     def __init__(self, topology: Topology, floor: tuple[float, ...]):
@@ -267,14 +231,11 @@ class LowerBounds:
 
 
 class RouteSet:
-    """FIB: up to k cheapest anchor-bound paths per (node, prefix).
+    """FIB for one cost view: up to k cheapest anchor-bound paths per (node, prefix).
 
-    Entries are computed on first use and cached. Each entry is a pure
-    function of the frozen cost view, so lazy evaluation is indistinguishable
-    from an eager rebuild. The searches read their lower bounds from
-    ``bounds``, a ``LowerBounds`` whose floor the cost view dominates, and
-    search its topology; the bound changes which labels a search visits,
-    never the paths it returns.
+    Entries are computed at first use and cached; each is a pure function of
+    the frozen view, so laziness is indistinguishable from an eager rebuild.
+    The searches read their topology and lower bounds from ``bounds``.
     """
 
     def __init__(self, costs, k, bounds):
@@ -284,13 +245,11 @@ class RouteSet:
         self._entries: dict[tuple[int, int], tuple[tuple[float, tuple[int, ...]], ...]] = {}
 
     def paths(self, node: int, prefix_id: int) -> tuple[tuple[float, tuple[int, ...]], ...]:
-        """Up to k cheapest loopless paths from node ending at any anchor of the prefix.
+        """Up to k cheapest loopless ``(cost, nodes)`` pairs from node to any anchor of the prefix.
 
-        Each path is a ``(cost, nodes)`` pair, its cost summed hop by hop from
-        node. Paths are ordered by ascending cost, ties by node sequence, so
-        the pairs sort as they are ranked; fewer than k come back when fewer
-        loopless paths exist, and none when node cannot reach an anchor. An
-        anchor node gets its zero-cost single-node path first.
+        Costs sum hop by hop from node. The pairs come sorted, ties by node
+        sequence; fewer when fewer loopless paths exist, none when no anchor is
+        reachable. An anchor node gets its zero-cost single-node path first.
         """
         key = (node, prefix_id)
         entry = self._entries.get(key)
@@ -302,18 +261,12 @@ class RouteSet:
 
 
 def rebuild_tables(costs: tuple[float, ...], k: int, bounds: LowerBounds) -> tuple[RouteSet]:
-    """A fresh FIB snapshot for one cost view, as a 1-tuple ``(RouteSet,)``.
+    """A FIB for one cost view, as the 1-tuple ``(RouteSet,)``.
 
-    ``bounds`` supplies the topology, whose channel ids index ``costs``, and
-    the searches' lower bounds. The bounds' floor must be at most ``costs``
-    on every channel, which keeps the bound consistent for this view; a view
-    below the floor anywhere raises ValueError, since the search could then
-    return paths that are not the cheapest. A simulation run passes one
-    ``LowerBounds`` over its idle costs to every table it builds.
-
-    The tuple has one element only because the benchmark tracer in
-    ``perfbench/spans.py`` reads ``result[0]``; it can return the
-    ``RouteSet`` alone once the tracer stops doing so.
+    ``costs`` is indexed by the channel ids of ``bounds.topology``. Raises
+    ValueError for k below 1, or for costs of another length or below
+    ``bounds.floor`` on any channel, where the bound would not be consistent.
+    A 1-tuple only because the benchmark tracer reads ``result[0]``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -47,14 +47,14 @@ class Prefix:
 
 @dataclass
 class Topology:
-    """Static network graph; treat as immutable once built.
+    """Static network graph, immutable once built; every run setting comes from ``SimulationConfig``.
 
-    ``adjacency[u]`` lists outgoing ``(neighbor, channel_id)`` pairs sorted by
-    neighbor, ``adjacency_in[v]`` the incoming ones, so that iteration order is
-    deterministic for a given topology. Every reader indexes by id, so ids must
-    be positions, and channel ends and anchors nodes. A hop names its channel
-    by its two ends, so a channel needs two distinct ends, and an ordered pair
-    of nodes at most one channel. ValueError is raised otherwise.
+    ``adjacency[u]`` lists outgoing ``(neighbor, channel_id)`` pairs,
+    ``adjacency_in[v]`` the incoming ones, sorted by neighbor for a
+    deterministic order. Ids must be positions, and channel ends and anchors
+    nodes. A hop names its channel by its two ends, so a channel needs two
+    distinct ends, and an ordered pair of nodes at most one channel.
+    ValueError is raised otherwise.
     """
 
     nodes: tuple[int, ...]
@@ -99,14 +99,11 @@ class Topology:
 
 
 def make_topology(node_count, edges, prefixes) -> Topology:
-    """Build and validate a topology from undirected (u, v, capacity) edges.
+    """Build and validate a connected topology from undirected (u, v, capacity) edges.
 
-    Each edge becomes a pair of directed channels with equal capacity; channel
-    ids follow edge order (edge i -> channels 2i and 2i+1). Prefix ids must
-    be their positions in ``prefixes``, and a self-loop or a second edge
-    between two nodes is rejected (both checked by ``Topology``). A prefix
-    checks its own size when it is built (see ``Prefix``); here each needs at
-    least one anchor and a node that is not one.
+    Edge i becomes channels 2i and 2i+1, one each way, with equal capacity.
+    ``Topology`` checks ids, self-loops and repeated edges; here each prefix
+    needs at least one anchor and a node that is not one. Raises ValueError.
     """
     if node_count < 2:
         raise ValueError("a topology needs at least 2 nodes")
@@ -129,13 +126,10 @@ def make_topology(node_count, edges, prefixes) -> Topology:
 
 
 def generate_topology(node_count, edge_count, prefix_count, rng: random.Random) -> Topology:
-    """Random connected topology with anchored prefixes.
+    """Random connected topology with anchored prefixes, as the README's Model section describes.
 
-    A uniform random spanning tree guarantees connectivity; the remaining
-    edges are drawn uniformly from the non-edges. Capacities are uniform in
-    [512, 2048] Mbps, object sizes uniform over the 8 MB multiples up to
-    64 MB, and each prefix gets 1-3 distinct anchors (fewer on tiny graphs so
-    that a non-anchor consumer always exists).
+    Each prefix gets fewer anchors on a tiny graph, so that a non-anchor
+    consumer always exists.
     """
     if node_count < 2:
         raise ValueError("node_count must be at least 2")

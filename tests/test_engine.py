@@ -609,7 +609,7 @@ def traced_mesh():
     # wrapping EventQueue.pop on the class, counts data responses by wrapping
     # protocol.make_data_response on its module, and reads the first element
     # of what rebuild_tables returns. One buffer-2 mesh run under the real
-    # Tracer backs both tests below.
+    # Tracer backs the three tests below.
     from icnsim.cli import build_inputs
     spans = perfbench_module("spans")
     cfg = mesh_config(buffer_packets=2)

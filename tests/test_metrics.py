@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -350,6 +351,13 @@ def test_unwritable_path_raises_oserror(tmp_path):
     blocker.write_text("")
     with pytest.raises(OSError):
         M.write_csv(tiny_topology(), M.LoadLog(), M.PacketLog(), summary_fixture(), blocker / "sub")
+
+
+def test_readme_states_every_file_schema():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for header in (M.LOADS_HEADER, M.PACKETS_HEADER, M.SUMMARY_HEADER, M.HISTOGRAM_HEADER,
+                   M.BATCH_HEADER):
+        assert f"`{header}`" in readme, header
 
 
 def test_write_histogram(tmp_path):
