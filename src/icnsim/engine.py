@@ -96,6 +96,48 @@ class InterestEvent(NamedTuple):
     prefix_id: int
 
 
+class RunStats(NamedTuple):
+    """A run's counts, as ``Simulation.stats`` reads them off the run's state.
+
+    The counts hold before ``run`` and after it returns; a handler that raises
+    leaves its event unaccounted. ``events[kind]`` counts the events of each
+    kind handled. An arrival handled in place counts as a ``RECEIVE``, and the
+    pop that ends the run handles nothing. Per channel id, ``drops`` counts
+    the packets its full buffer dropped and ``high_water`` is the most packets
+    its buffer held at once, the one on the wire included.
+
+    Counted as they happen: ``load_samples`` (one per channel measured at a
+    path update), ``tables_built``, ``misses`` and ``reverse_dijkstras`` (the
+    ``searches`` of each ``routing.RouteSet`` and of the run's one
+    ``routing.LowerBounds``), ``drops``, and ``high_water`` on each packet
+    that joins a busy channel. Derived:
+    - ``events[INIT_INTEREST]``: the interests pushed on the heap and not on
+      it now, so by the end every interest; ``lookups`` equals it, since each
+      interest makes one ``RouteSet.paths`` call;
+    - ``events[TRANSMIT_COMPLETE]``: the hops packets finished, from where
+      each packet is: ``len(nodes) - 1`` once delivered, its hop once dropped
+      (summed in the drop branch), its node's index in ``nodes`` while queued
+      at that node or arriving there in an event left on the heap;
+    - ``events[RECEIVE]``: the completions, each sending one arrival, less the
+      arrivals left on the heap, which holds the event whose pop ended the
+      run too;
+    - ``events[PATH_UPDATE]``: the load log's rows;
+    - ``high_water`` of 1 on a channel that transmitted but never held two.
+    """
+
+    events: list[int]
+    load_samples: int
+    tables_built: int
+    misses: int
+    reverse_dijkstras: int
+    drops: list[int]
+    high_water: list[int]
+
+    @property
+    def lookups(self) -> int:
+        return self.events[INIT_INTEREST]
+
+
 class EventQueue:
     """Holds only ``pop``, ``heapq.heappop``, which a run reads off the class at its start.
 
@@ -112,11 +154,12 @@ class ChannelState:
     ``sent`` holds ``(start, end, busy seconds before start)`` per transmission
     a later load window can still read, oldest first. ``busy_total`` sums every
     transmission's busy seconds, in order. ``serialization_s`` maps a packet
-    kind to its size over the rate.
+    kind to its size over the rate. ``dropped`` and ``high_water`` are
+    counts that ``RunStats`` reads.
     """
 
     __slots__ = ("capacity_mbps", "channel_id", "to_node", "serialization_s", "queue", "sent",
-                 "busy_total")
+                 "busy_total", "dropped", "high_water")
 
     def __init__(self, channel):
         self.capacity_mbps = channel.capacity_mbps
@@ -128,6 +171,7 @@ class ChannelState:
         self.queue: deque[protocol.Packet] = deque()
         self.sent: deque[tuple[float, float, float]] = deque()
         self.busy_total = 0.0
+        self.dropped = self.high_water = 0
 
     def busy_seconds(self, lo, hi):
         """Busy seconds in [lo, hi], given sent[0] ends after lo and sent[-1] starts by hi.
@@ -173,21 +217,31 @@ class Simulation:
         self._bounds = routing.LowerBounds(topology, routing.idle_costs(topology, config.epsilon_mbps))
         # The tables for the last logged load row, or None until a lookup needs them.
         self.tables: routing.RouteSet | None = None
+        # Counts that RunStats reads: misses of the tables already replaced,
+        # and the hops the dropped packets finished.
+        self._load_samples = self._tables_built = self._replaced_misses = self._dropped_hops = 0
         seqs = self._seqs = itertools.count()
         heap = self._heap = [(0.0, next(seqs), PATH_UPDATE, None)]
         consumers = [set(topology.nodes).difference(p.anchors) for p in topology.prefixes]
+        horizon = config.horizon_s
+        prefix_count = len(consumers)
         pending = []
         for ev in interests:
-            if not 0.0 <= ev.time_s < config.horizon_s:
+            time_s, consumer, prefix_id = ev
+            if not 0.0 <= time_s < horizon:
                 # At or after the horizon it would never be handled: the run ends at that pop.
-                raise ValueError(f"{ev}: needs a time in seconds in [0, horizon_s={config.horizon_s})")
-            if not (0 <= ev.prefix_id < len(consumers) and ev.consumer in consumers[ev.prefix_id]):
-                raise ValueError(f"{ev}: needs a known prefix and a consumer node that is not its anchor")
-            pending.append((ev.time_s, next(seqs), INIT_INTEREST, ev))
+                raise ValueError(f"{ev}: needs a time in seconds in [0, horizon_s={horizon})")
+            # An equal float or bool would pass the set and index checks.
+            if not (type(consumer) is int and type(prefix_id) is int and 0 <= prefix_id < prefix_count
+                    and consumer in consumers[prefix_id]):
+                raise ValueError(f"{ev}: needs the int ids of a known prefix and of a consumer node "
+                                 "that is not its anchor")
+            pending.append((time_s, next(seqs), INIT_INTEREST, ev))
         # Latest first, so the next one is popped off the end. (time, seq)
         # keys are unique, so the sort never compares payloads.
         pending.sort(reverse=True)
         self._pending = pending
+        self._interest_count = len(pending)
         if pending:
             heapq.heappush(heap, pending.pop())
 
@@ -202,11 +256,38 @@ class Simulation:
                     self._handle_receive, self._handle_path_update)
         horizon = self.config.horizon_s
         while True:
-            now, _, kind, payload = pop(heap)
+            now, seq, kind, payload = pop(heap)
             if now >= horizon:
                 break
             handlers[kind](now, payload)
+        # Back on the heap, which then holds exactly the events left unhandled.
+        heapq.heappush(heap, (now, seq, kind, payload))
         return self.load_log, self.packet_log
+
+    @property
+    def stats(self) -> RunStats:
+        """The run's counts, derived at each read as ``RunStats`` defines them."""
+        queued = [0] * 4  # by event kind
+        completed = self._dropped_hops
+        for _, _, kind, payload in self._heap:
+            queued[kind] += 1
+            if kind == RECEIVE:
+                node, packet = payload
+                completed += packet.nodes.index(node)
+        for packet in self.packet_log.packets:
+            if packet.outcome == protocol.DELIVERED:
+                completed += len(packet.nodes) - 1
+        channels = self.channels
+        for channel, state in zip(self.topology.channels, channels):
+            for packet in state.queue:
+                completed += packet.nodes.index(channel.from_node)
+        handled = [self._interest_count - len(self._pending) - queued[INIT_INTEREST], completed,
+                   completed - queued[RECEIVE], len(self.load_log.times)]
+        misses = self._replaced_misses + (self.tables.searches if self.tables is not None else 0)
+        # A transmission takes a positive time, so a channel that sent one has busy time.
+        return RunStats(handled, self._load_samples, self._tables_built, misses, self._bounds.searches,
+                        [state.dropped for state in channels],
+                        [state.high_water or (1 if state.busy_total else 0) for state in channels])
 
     # -- event handlers -------------------------------------------------
 
@@ -232,9 +313,13 @@ class Simulation:
                 if load >= cap:
                     load = cap
                 loads[channel_id] = load
+        # The channels still active are the ones just measured.
+        self._load_samples += len(active)
         self.load_log.append(now, loads)
         # The tables wait for the first lookup; many updates see none.
-        self.tables = None
+        if self.tables is not None:
+            self._replaced_misses += self.tables.searches
+            self.tables = None
         heapq.heappush(self._heap, (len(self.load_log.times) / cfg.path_updates_per_s,
                                     next(self._seqs), PATH_UPDATE, None))
 
@@ -255,6 +340,7 @@ class Simulation:
 
     def _build_tables(self):
         """Routing tables for the load row logged at the last path update."""
+        self._tables_built += 1
         cfg = self.config
         view = routing.compute_cost_view(self.topology, self._bounds.floor, self.load_log.rows[-1],
                                          cfg.epsilon_mbps)
@@ -308,6 +394,8 @@ class Simulation:
         if queued >= self._buffer_packets:
             packet.outcome = protocol.DROPPED
             packet.terminated_s = now
+            state.dropped += 1
+            self._dropped_hops += hop
             return
         queue.append(packet)
         if not queued:
@@ -316,6 +404,8 @@ class Simulation:
             state.busy_total += end - now
             self._active[state.channel_id] = state
             heapq.heappush(self._heap, (end, next(self._seqs), TRANSMIT_COMPLETE, state))
+        elif queued >= state.high_water:
+            state.high_water = queued + 1
 
 
 def run(config, topology, interests):
@@ -324,8 +414,9 @@ def run(config, topology, interests):
     Of ``config`` it reads and checks only the run settings (``validate_run``);
     the topology and interests stand in for its scenario settings. Raises
     ValueError for a bad run setting, or for an interest whose time is NaN or
-    outside [0, ``config.horizon_s``), whose prefix is unknown, or whose
-    consumer is not a node or anchors the prefix, and
+    outside [0, ``config.horizon_s``), whose consumer or prefix id is not of
+    type ``int`` (a bool is not), whose prefix is unknown, or whose consumer
+    is not a node or anchors the prefix, and
     ``protocol.RouteUnavailableError`` when a consumer can reach no anchor.
     """
     return Simulation(config, topology, interests).run()

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import fsum, sqrt
+from operator import mul
 from pathlib import Path
 from typing import NamedTuple
 
@@ -140,7 +141,9 @@ def summarize(load_log: LoadLog, packet_log: PacketLog, delays: list[float], war
     pass ``config.warmup_s`` and ``config.cooldown_start_s``. Packet
     statistics are not time-filtered. ``delays`` is the log's
     ``delivery_times``. Every sum is a correctly rounded ``math.fsum`` divided
-    once, so no figure depends on the order of channels or packets.
+    once, so no figure depends on the order of channels or packets. The load
+    sums skip the zeros, which change no exact sum: a sum of zeros alone,
+    ``-0.0`` among them, is ``0.0`` either way.
     """
     rows = [row for t, row in zip(load_log.times, load_log.rows) if warmup_end <= t < cooldown_start]
     channels = len(rows[0]) if rows else 0
@@ -148,9 +151,10 @@ def summarize(load_log: LoadLog, packet_log: PacketLog, delays: list[float], war
         sums = []
         spreads = []
         for row in rows:
-            total = fsum(row)
+            loaded = list(filter(None, row))
+            total = fsum(loaded)
             mean = total / channels
-            variance = fsum([x * x for x in row]) / channels - mean * mean
+            variance = fsum(map(mul, loaded, loaded)) / channels - mean * mean
             if variance < 0.0:  # rounding can leave a zero spread just below 0
                 variance = 0.0
             sums.append(total)

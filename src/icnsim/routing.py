@@ -214,16 +214,19 @@ class LowerBounds:
     (the prefix's anchors as a frozenset, every node's distance to them under
     ``floor``), computed at the first request and kept for every table. To
     rank paths under one view alone, pass that view as the floor.
+    ``searches`` counts the reverse Dijkstras run so far.
     """
 
     def __init__(self, topology: Topology, floor: tuple[float, ...]):
         self.topology = topology
         self.floor = floor
         self._by_prefix: dict[int, tuple[frozenset[int], list[float]]] = {}
+        self.searches = 0
 
     def __getitem__(self, prefix_id: int) -> tuple[frozenset[int], list[float]]:
         entry = self._by_prefix.get(prefix_id)
         if entry is None:
+            self.searches += 1
             anchors = self.topology.prefixes[prefix_id].anchors
             entry = (frozenset(anchors), _dist_to_targets(self.topology, self.floor, anchors))
             self._by_prefix[prefix_id] = entry
@@ -235,7 +238,8 @@ class RouteSet:
 
     Entries are computed at first use and cached; each is a pure function of
     the frozen view, so laziness is indistinguishable from an eager rebuild.
-    The searches read their topology and lower bounds from ``bounds``.
+    The searches read their topology and lower bounds from ``bounds``;
+    ``searches`` counts the ones run so far.
     """
 
     def __init__(self, costs, k, bounds):
@@ -243,6 +247,7 @@ class RouteSet:
         self.k = k
         self.bounds = bounds
         self._entries: dict[tuple[int, int], tuple[tuple[float, tuple[int, ...]], ...]] = {}
+        self.searches = 0
 
     def paths(self, node: int, prefix_id: int) -> tuple[tuple[float, tuple[int, ...]], ...]:
         """Up to k cheapest loopless ``(cost, nodes)`` pairs from node to any anchor of the prefix.
@@ -254,6 +259,7 @@ class RouteSet:
         key = (node, prefix_id)
         entry = self._entries.get(key)
         if entry is None:
+            self.searches += 1
             anchors, bound = self.bounds[prefix_id]
             entry = tuple(_k_shortest(self.bounds.topology, self.costs, node, anchors, self.k, bound))
             self._entries[key] = entry

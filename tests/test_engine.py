@@ -35,10 +35,17 @@ def assert_equals_reference(logs, reference):
 
 
 def run_with_reference(cfg, topo, interests):
-    """The engine's logs and the reference run on the same inputs, checked equal."""
+    """The engine's logs and the reference run on the same inputs, checked equal.
+
+    The engine's ``stats`` count the reference run's events by kind too, also
+    when the horizon cuts transfers, since the reference pops every arrival.
+    """
     reference = reference_run(cfg, topo, interests)
-    logs = E.run(cfg, topo, interests)
+    sim = E.Simulation(cfg, topo, interests)
+    logs = sim.run()
     assert_equals_reference(logs, reference)
+    pops = reference.pops
+    assert sim.stats.events == [pops[O.INTEREST], pops[O.COMPLETE], pops[O.ARRIVAL], pops[O.UPDATE]]
     return logs, reference
 
 
@@ -271,10 +278,15 @@ def test_channel_is_fifo():
 # -- run-level behaviour -------------------------------------------------
 
 def test_no_interests_means_empty_packet_log():
-    load_log, records = E.run(short_config(), two_node_topology(), [])
+    sim = E.Simulation(short_config(), two_node_topology(), [])
+    load_log, records = sim.run()
     assert len(records) == 0 and records == M.PacketLog()
     assert len(load_log) == 2 * 40 * 5       # two channels, 5 updates/s, horizon 40
     assert all(s.load_mbps == 0.0 for s in load_log)
+    # Every count but the path updates is 0.
+    assert sim.stats == E.RunStats(events=[0, 0, 0, 40 * 5], load_samples=0, tables_built=0, misses=0,
+                                   reverse_dijkstras=0, drops=[0, 0], high_water=[0, 0])
+    assert sim.stats.lookups == 0
 
 
 def test_path_updates_on_exact_grid():
@@ -377,9 +389,17 @@ def test_multi_mode_single_path_degradation():
     # The run ends at the first pop at or past the horizon (40 s), so these would vanish.
     E.InterestEvent(40.0, 0, 0),
     E.InterestEvent(41.0, 0, 0),
+    # Equal to valid ids, so each would pass the set and index checks: a
+    # float consumer fails mid-run, a float prefix id at set-up, and a bool
+    # runs to the end and writes a route such as "False-1".
+    E.InterestEvent(1.0, 0.0, 0),
+    E.InterestEvent(1.0, 0, 0.0),
+    E.InterestEvent(1.0, False, 0),
+    E.InterestEvent(1.0, 0, False),
 ], ids=["consumer-is-anchor", "consumer-past-last-node", "negative-consumer",
         "prefix-past-last", "negative-prefix", "nan-time", "negative-time",
-        "time-at-horizon", "time-after-horizon"])
+        "time-at-horizon", "time-after-horizon", "float-consumer", "float-prefix",
+        "bool-consumer", "bool-prefix"])
 def test_bad_interest_is_rejected(event):
     with pytest.raises(ValueError):
         E.run(short_config(), two_node_topology(), [event])
@@ -529,7 +549,8 @@ def test_same_instant_arrivals_at_buffer_1_channel():
     topo = make_topology(5, [(0, 2, 1024.0), (1, 2, 1024.0), (2, 3, 1024.0), (3, 4, 1024.0)],
                          [Prefix(0, 8, (3,)), Prefix(1, 8, (4,))])
     interests = [E.InterestEvent(1.1, 0, 1), E.InterestEvent(1.1, 2, 0), E.InterestEvent(1.1, 1, 1)]
-    _, packets = E.run(short_config(buffer_packets=1), topo, interests)
+    sim = E.Simulation(short_config(buffer_packets=1), topo, interests)
+    _, packets = sim.run()
     check_conservation(packets)
     assert [(p.packet_id, p.kind, p.nodes, p.outcome) for p in packets] == [
         (0, P.INTEREST, (0, 2, 3, 4), P.DELIVERED),
@@ -540,6 +561,9 @@ def test_same_instant_arrivals_at_buffer_1_channel():
     ]
     hop = 800_000 / 1_024_000_000
     assert packets.packets[2].terminated_s == 1.1 + hop
+    drops = [0] * len(topo.channels)
+    drops[topo.channel(2, 3).channel_id] = 1
+    assert sim.stats.drops == drops
 
 
 def test_arrivals_in_place_keep_order_on_a_tied_path():
@@ -609,7 +633,7 @@ def traced_mesh():
     # wrapping EventQueue.pop on the class, counts data responses by wrapping
     # protocol.make_data_response on its module, and reads the first element
     # of what rebuild_tables returns. One buffer-2 mesh run under the real
-    # Tracer backs the three tests below.
+    # Tracer backs the four tests below.
     from icnsim.cli import build_inputs
     spans = perfbench_module("spans")
     cfg = mesh_config(buffer_packets=2)
@@ -618,17 +642,18 @@ def traced_mesh():
     tracer.install()
     try:
         missing = list(tracer.missing)
-        logs = E.Simulation(cfg, topo, scenario).run()
+        sim = E.Simulation(cfg, topo, scenario)
+        logs = sim.run()
     finally:
         tracer.uninstall()
-    return cfg, scenario, reference_run(cfg, topo, scenario), logs, tracer, missing
+    return cfg, scenario, reference_run(cfg, topo, scenario), logs, tracer, missing, sim.stats
 
 
 def test_tracer_pins_see_every_event_and_response(traced_mesh):
     # Inlining the pop, or binding make_data_response at import time, must
     # fail here; a traced benchmark run would otherwise show it only as
     # wrong counts.
-    cfg, scenario, reference, logs, tracer, _ = traced_mesh
+    cfg, scenario, reference, logs, tracer, _, _ = traced_mesh
     # The reference run, which queues every arrival, gives the same logs and
     # pops every event.
     assert_equals_reference(logs, reference)
@@ -649,7 +674,7 @@ def test_tracer_pins_see_every_event_and_response(traced_mesh):
 def test_benchmark_tracer_installs_and_counts_lookups(traced_mesh):
     # A renamed or reshaped pin must fail here; a traced benchmark run would
     # otherwise show it only as a stderr line.
-    _, scenario, _, _, tracer, missing = traced_mesh
+    _, scenario, _, _, tracer, missing, _ = traced_mesh
     assert missing == []
     assert tracer.paths_calls == len(scenario)
     assert 0 < tracer.tables_built <= len(scenario)
@@ -665,7 +690,7 @@ def test_benchmark_tracer_counts_every_load_sample(traced_mesh):
     # channel with a transmission that started before the update and ended
     # after its window's start. Inlining the sample without porting the tracer's
     # counter must fail here, not read as engine.sample_calls == 0.
-    cfg, _, reference, logs, tracer, _ = traced_mesh
+    cfg, _, reference, logs, tracer, _, _ = traced_mesh
     times = logs[0].times
     history = reference.history
     starts = {start for sent in history for start, _ in sent}
@@ -678,6 +703,24 @@ def test_benchmark_tracer_counts_every_load_sample(traced_mesh):
         for t in times)
     assert expected > 0
     assert tracer.sample_calls == expected
+
+
+def test_run_stats_equal_the_tracer_counts(traced_mesh):
+    # The engine's own counts equal what the benchmark tracer counts from
+    # outside, and the reference run's events by kind.
+    cfg, scenario, reference, logs, tracer, _, stats = traced_mesh
+    pops = reference.pops
+    assert stats.events == [pops[O.INTEREST], pops[O.COMPLETE], pops[O.ARRIVAL], pops[O.UPDATE]]
+    # The tracer counts the pop that ends the run and misses the arrivals handled in place.
+    assert sum(stats.events) + 1 == tracer.events + reference.inlinable
+    assert stats.load_samples == tracer.sample_calls
+    assert stats.lookups == tracer.paths_calls == len(scenario)
+    assert stats.tables_built == tracer.tables_built
+    assert 0 < stats.misses <= stats.lookups
+    assert sum(stats.drops) == sum(p.outcome == P.DROPPED for p in logs[1]) > 0
+    # A channel drops only when its buffer is full.
+    assert all(0 < high <= cfg.buffer_packets for high in stats.high_water)
+    assert all(high == cfg.buffer_packets for high, drops in zip(stats.high_water, stats.drops) if drops)
 
 
 @pytest.mark.parametrize("mode", [P.MODE_SINGLE, P.MODE_MULTI])
@@ -787,64 +830,52 @@ def test_logged_loads_equal_full_window_measurement(overrides, kept_at_end):
 def test_tables_built_at_first_lookup_from_update_loads(monkeypatch):
     # One cost view and one table per update that some interest follows before
     # the next update, in update order, each the full view of the loads
-    # logged at that update.
+    # logged at that update; each table searches once per (consumer, prefix).
     from bisect import bisect_right
 
     from icnsim import routing as R
     from icnsim.cli import build_inputs
     cfg = mesh_config(interests=60, epsilon_mbps=2.0)
     topo, scenario = build_inputs(cfg)
-    views, tables = [], []
+    views = []
+    compute_cost_view = R.compute_cost_view
 
-    def recording(store, original):
-        def wrapper(*args, **kwargs):
-            store.append(original(*args, **kwargs))
-            return store[-1]
-        return wrapper
+    def recording(*args):
+        views.append(compute_cost_view(*args))
+        return views[-1]
 
-    monkeypatch.setattr(R, "compute_cost_view", recording(views, R.compute_cost_view))
-    monkeypatch.setattr(R, "rebuild_tables", recording(tables, R.rebuild_tables))
-    load_log, _ = E.run(cfg, topo, scenario)
+    monkeypatch.setattr(R, "compute_cost_view", recording)
+    sim = E.Simulation(cfg, topo, scenario)
+    load_log, _ = sim.run()
     times = load_log.times
-    epochs = set()
+    keys = set()
     for ev in scenario:
         i = bisect_right(times, ev.time_s) - 1
         if i > 0 and times[i] == ev.time_s:
             i -= 1  # an interest at exactly an update's time pops before it
-        epochs.add(i)
+        keys.add((i, ev.consumer, ev.prefix_id))
+    epochs = {i for i, _, _ in keys}
     assert 0 < len(epochs) < len(times)
     full_views = [tuple(R.channel_cost(ch.capacity_mbps, row[ch.channel_id], cfg.epsilon_mbps)
                         for ch in topo.channels)
                   for row in (load_log.rows[i] for i in sorted(epochs))]
     assert views == full_views
-    assert len(tables) == len(views)
+    assert sim.stats.tables_built == len(views)
+    assert sim.stats.misses == len(keys)
 
 
-def test_one_reverse_dijkstra_per_prefix_per_run(monkeypatch):
+def test_one_reverse_dijkstra_per_prefix_per_run():
     # Every table of a run reads its lower bounds from one set over the idle
     # costs, so a prefix's reverse Dijkstra runs at its first lookup only,
     # however many tables are built after it.
-    from icnsim import routing as R
     from icnsim.cli import build_inputs
     cfg = mesh_config()
     topo, scenario = build_inputs(cfg)
-    searched, tables = [], []
-    dist_to_targets, rebuild_tables = R._dist_to_targets, R.rebuild_tables
-
-    def counted_dist(topology, costs, targets):
-        searched.append(targets)
-        return dist_to_targets(topology, costs, targets)
-
-    def counted_rebuild(*args):
-        tables.append(args)
-        return rebuild_tables(*args)
-
-    monkeypatch.setattr(R, "_dist_to_targets", counted_dist)
-    monkeypatch.setattr(R, "rebuild_tables", counted_rebuild)
-    E.run(cfg, topo, scenario)
+    sim = E.Simulation(cfg, topo, scenario)
+    sim.run()
     looked_up = {ev.prefix_id for ev in scenario}
-    assert len(tables) > len(topo.prefixes)
-    assert len(searched) <= len(looked_up)
+    assert sim.stats.tables_built > len(topo.prefixes)
+    assert sim.stats.reverse_dijkstras == len(looked_up)
 
 
 def test_load_never_exceeds_capacity():

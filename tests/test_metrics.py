@@ -170,6 +170,39 @@ def test_load_statistics_are_correctly_rounded_at_desk_batch_size(seed):
     assert load_statistics(rows)[:3] == exact_load_statistics(rows)
 
 
+def full_row_load_statistics(rows):
+    """(offered, avg, std) with every channel's load, zeros included, in each row's sums."""
+    channels = len(rows[0])
+    if not channels:
+        return 0.0, 0.0, 0.0
+    sums, spreads = [], []
+    for row in rows:
+        total = math.fsum(row)
+        mean = total / channels
+        variance = math.fsum([x * x for x in row]) / channels - mean * mean
+        if variance < 0.0:
+            variance = 0.0
+        sums.append(total)
+        spreads.append(math.sqrt(variance))
+    offered = math.fsum(sums) / len(rows)
+    return offered, offered / channels, math.fsum(spreads) / len(rows)
+
+
+LOADS_WITH_ZEROS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308]),
+                             st.floats(0.0, 2048.0))
+
+
+@given(st.integers(0, 6).flatmap(lambda channels: st.lists(
+    st.lists(LOADS_WITH_ZEROS, min_size=channels, max_size=channels), min_size=1, max_size=12)))
+def test_skipping_zero_loads_changes_no_statistic(rows):
+    # summarize leaves the zeros out of each row's sums. Zero channels is a
+    # topology with no channel.
+    result = load_statistics(rows)[:3]
+    expected = full_row_load_statistics(rows)
+    assert result == expected
+    assert [math.copysign(1.0, x) for x in result] == [math.copysign(1.0, x) for x in expected]
+
+
 @given(st.integers(1, 8).flatmap(lambda channels: st.lists(
     st.lists(st.floats(0.0, 2048.0), min_size=channels, max_size=channels), min_size=1, max_size=12)),
     st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30), st.randoms(use_true_random=False))

@@ -378,3 +378,24 @@ def test_rebuild_rejects_bounds_of_another_shape():
     floor = R.idle_costs(topo, EPS)
     with pytest.raises(ValueError, match="floor"):
         R.rebuild_tables(floor[:-1], 3, R.LowerBounds(topo, floor))
+
+
+def test_searches_count_cache_misses_only():
+    # A repeated request is served from the cache: neither the table's Yen
+    # search nor the prefix's reverse Dijkstra runs again, and a second table
+    # over the same bounds reuses them.
+    topo = T.make_topology(3, [(0, 1, 600.0), (1, 2, 700.0), (0, 2, 800.0)],
+                           [T.Prefix(0, 8, (2,)), T.Prefix(1, 8, (0,))])
+    floor = R.idle_costs(topo, EPS)
+    bounds = R.LowerBounds(topo, floor)
+    (fib,) = R.rebuild_tables(floor, 3, bounds)
+    first = fib.paths(0, 0)
+    assert fib.paths(0, 0) is first
+    assert (fib.searches, bounds.searches) == (1, 1)
+    fib.paths(1, 0)
+    fib.paths(1, 1)
+    fib.paths(1, 1)
+    assert (fib.searches, bounds.searches) == (3, 2)
+    (other,) = R.rebuild_tables(floor, 3, bounds)
+    assert other.paths(0, 0) == first
+    assert (other.searches, fib.searches, bounds.searches) == (1, 3, 2)
