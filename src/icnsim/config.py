@@ -18,8 +18,8 @@ class SimulationConfig:
     prefixes, interests, interest_window_s. Output settings, read by the
     summary and the output files: warmup_s, cooldown_start_s, histogram_bin_s,
     out_dir. ``k`` left unset resolves to 3 in multi mode and 1 in single mode,
-    which uses one path and so takes no other k. A NaN or infinite float fails
-    validation.
+    which uses one path and so takes no other k. A NaN or infinite float, or an
+    int setting whose type is not ``int`` (a bool is not), fails validation.
     """
 
     seed: int = 0
@@ -51,8 +51,15 @@ class SimulationConfig:
             if not math.isfinite(value := getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {value}")
 
+    def _require_int(self, names):
+        # A float or bool would pass every range check and then run as another value or fail mid-run.
+        for name in names:
+            if type(value := getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+
     def validate_run(self) -> "SimulationConfig":
         """Check the run settings: raise ValueError for a bad one, else return self."""
+        self._require_int(("k", "buffer_packets"))
         self._require_finite(("horizon_s", "path_updates_per_s", "load_window_s", "propagation_delay_s",
                               "epsilon_mbps"))
         if self.mode not in (MODE_SINGLE, MODE_MULTI):
@@ -78,6 +85,7 @@ class SimulationConfig:
     def validate(self) -> "SimulationConfig":
         """Check every setting, run settings first: raise ValueError for a bad one, else return self."""
         self.validate_run()
+        self._require_int(f.name for f in fields(self) if f.type in ("int", "int | None"))
         self._require_finite(f.name for f in fields(self) if f.type == "float")
         if self.nodes < 2:
             raise ValueError(f"nodes must be at least 2, got {self.nodes}")

@@ -206,9 +206,8 @@ class Simulation:
         self._buffer_packets = config.buffer_packets
         self._propagation_delay_s = config.propagation_delay_s
         self.packet_log = metrics.PacketLog()
-        # The run's route and name tables (see ``protocol``).
+        # The run's route table (see ``protocol``).
         self._routes = protocol.Routes()
-        self._names: dict[int, list[tuple[int, int]]] = {}
         self.load_log = metrics.LoadLog()
         # Channels that have transmitted since a path update last found them
         # idle for a whole load window, by channel id.
@@ -333,7 +332,7 @@ class Simulation:
             tables = self.tables = self._build_tables()
         prefix = self.topology.prefixes[interest.prefix_id]
         paths = tables.paths(interest.consumer, interest.prefix_id)
-        packets = protocol.split_interest(prefix, paths, now, self._routes, self._names)
+        packets = protocol.split_interest(prefix, paths, now, self._routes)
         self.packet_log.packets.extend(packets)
         for packet in packets:
             self._forward(packet, 0, now)

@@ -1,12 +1,8 @@
-"""Packets, the chunking and response rules, and the per-run tables they share.
+"""Packets, the chunking and response rules, and the per-run route table they share.
 
-A run makes two tables once and passes them to the functions below, so each
-route and each chunk name is stored once per run. The route table
-(``Routes``) holds each route with its reverse. The name table maps a prefix
-id to its chunks' ``(prefix_id, chunk_index)`` names, indexed by chunk;
-``split_interest`` fills a prefix's entry at its first interest. Every packet
-of a chunk, interest or data, holds the same name tuple. One name table
-serves one topology, since it is keyed by prefix id alone.
+A run makes one route table (``Routes``) and passes it to the functions
+below, so each route is stored once per run, with its reverse. A chunk's name
+comes from its prefix (``topology.Prefix.chunk_names``).
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ MODE_MULTI = "multi"
 # 0.1 MB interests, 8 MB data chunks (1 MB = 10^6 bytes).
 CHUNK_SIZE_MB = 8
 INTEREST_SIZE_BITS = 800_000
-DATA_SIZE_BITS = 64_000_000
+DATA_SIZE_BITS = CHUNK_SIZE_MB * 8_000_000
 
 
 class Routes(dict):
@@ -52,7 +48,7 @@ class Packet:
     """One interest or data unit carrying its full source route.
 
     ``kind`` is ``INTEREST`` or ``DATA`` and fixes the size, ``INTEREST_SIZE_BITS``
-    or ``DATA_SIZE_BITS``; ``name`` is the chunk's shared name. With no id
+    or ``DATA_SIZE_BITS``; ``name`` is the chunk's name from its prefix. With no id
     (see ``metrics.PacketLog``) a packet takes 80 bytes, and one class for both
     kinds lets CPython specialize every packet attribute read. ``terminated_s``
     and ``outcome`` keep their defaults until a delivery or drop ends it.
@@ -66,23 +62,19 @@ class Packet:
     outcome: str = UNTERMINATED
 
 
-def split_interest(prefix, paths, now: float, routes: Routes,
-                   names: dict[int, list[tuple[int, int]]]) -> list[Packet]:
-    """One interest packet per 8 MB chunk of the prefix's data object, created at ``now``.
+def split_interest(prefix, paths, now: float, routes: Routes) -> list[Packet]:
+    """One interest packet per chunk of the prefix's data object, created at ``now``.
 
     ``paths`` are ranked ``(cost, nodes)`` pairs, as ``routing.RouteSet.paths``
-    returns them; chunks are dealt round-robin across them, cheapest first.
-    Routes and names come from the run's tables, ``routes`` and ``names``.
+    returns them; ``prefix.chunk_names`` are dealt round-robin across them,
+    cheapest first. Routes come from the run's table, ``routes``.
     """
     if not paths:
         raise RouteUnavailableError(f"no path toward prefix {prefix.prefix_id}")
-    chunks = prefix.size_mb // CHUNK_SIZE_MB
-    shared = [routes[nodes][0] for _, nodes in paths[:chunks]]
-    prefix_names = names.get(prefix.prefix_id)
-    if prefix_names is None:
-        prefix_names = names[prefix.prefix_id] = [(prefix.prefix_id, chunk) for chunk in range(chunks)]
+    names = prefix.chunk_names
+    shared = [routes[nodes][0] for _, nodes in paths[:len(names)]]
     return [Packet(INTEREST, name, shared[chunk % len(shared)], now)
-            for chunk, name in enumerate(prefix_names)]
+            for chunk, name in enumerate(names)]
 
 
 def make_data_response(interest: Packet, node: int, routes: Routes) -> Packet:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .protocol import CHUNK_SIZE_MB
 
@@ -33,7 +34,11 @@ class Prefix:
     """Handle of one data object and the anchor nodes that serve it.
 
     The object is split into whole chunks, so a size that is not a positive
-    multiple of ``CHUNK_SIZE_MB`` raises ValueError.
+    multiple of ``CHUNK_SIZE_MB`` raises ValueError. ``chunk_names`` holds
+    each chunk's ``(prefix_id, chunk_index)`` name, in chunk order, made at
+    first read and then kept, so every packet of a chunk, interest or data, in
+    every run, holds the same tuple. It is not a field: ``==``, ``hash`` and
+    ``repr`` ignore it.
     """
 
     prefix_id: int
@@ -43,6 +48,10 @@ class Prefix:
     def __post_init__(self):
         if self.size_mb <= 0 or self.size_mb % CHUNK_SIZE_MB:
             raise ValueError(f"prefix {self.prefix_id} size {self.size_mb} MB is not a positive chunk multiple")
+
+    @cached_property
+    def chunk_names(self) -> tuple[tuple[int, int], ...]:
+        return tuple((self.prefix_id, chunk) for chunk in range(self.size_mb // CHUNK_SIZE_MB))
 
 
 @dataclass

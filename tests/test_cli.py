@@ -281,7 +281,13 @@ def test_run_batch_validates_runs(tmp_path):
 @pytest.mark.parametrize("overrides, message", [
     (dict(interests=-1), "interests must be non-negative, got -1"),
     (dict(warmup_s=40.0), "need 0 <= warmup_s < cooldown_start_s <= horizon_s"),
-], ids=["scenario", "output"])
+    (dict(seed=1.5), "seed must be an int, got 1.5"),
+    (dict(nodes=6.0), "nodes must be an int, got 6.0"),
+    (dict(edges=9.5), "edges must be an int, got 9.5"),
+    (dict(prefixes=3.0), "prefixes must be an int, got 3.0"),
+    (dict(interests=2.5), "interests must be an int, got 2.5"),
+], ids=["scenario", "output", "seed-float", "nodes-float", "edges-float", "prefixes-float",
+        "interests-float"])
 @pytest.mark.parametrize("run", [cli.build_inputs, cli.run_single, lambda cfg: cli.run_batch(cfg, 1)],
                          ids=["inputs", "single", "batch"])
 def test_runs_validate_settings_the_engine_does_not_read(tmp_path, run, overrides, message):

@@ -447,6 +447,10 @@ BAD_RUN_SETTINGS = [
     ("path_updates_per_s", 0.0, "path_updates_per_s must be positive, got 0.0"),
     ("load_window_s", 0.0, "load_window_s must be positive, got 0.0"),
     ("buffer_packets", 0, "buffer_packets must be at least 1, got 0"),
+    ("k", True, "k must be an int, got True"),
+    ("k", 2.5, "k must be an int, got 2.5"),
+    ("buffer_packets", 1.5, "buffer_packets must be an int, got 1.5"),
+    ("buffer_packets", True, "buffer_packets must be an int, got True"),
     ("propagation_delay_s", -1.0, "propagation_delay_s must be non-negative, got -1.0"),
     ("epsilon_mbps", 0.0, "epsilon_mbps must be positive, got 0.0"),
     *((name, value, f"{name} must be a finite number, got {value}")
@@ -765,16 +769,25 @@ def test_packets_on_equal_routes_share_one_tuple():
 
 
 def test_packets_of_one_chunk_share_one_name():
-    routes, names = P.Routes(), {}
+    routes = P.Routes()
     prefix = Prefix(4, 24, (2,))
-    first, second = (P.split_interest(prefix, [(1.0, (0, 2))], now, routes, names) for now in (0.0, 1.0))
+    first, second = (P.split_interest(prefix, [(1.0, (0, 2))], now, routes) for now in (0.0, 1.0))
     assert [p.name for p in first] == [(4, 0), (4, 1), (4, 2)]
-    assert all(a.name is b.name for a, b in zip(first, second))
+    assert all(a.name is b.name is name for a, b, name in zip(first, second, prefix.chunk_names))
     assert P.make_data_response(first[1], 2, routes).name is first[1].name
     _, (_, log) = mesh_run(buffer_packets=2)
     distinct = {p.name for p in log.packets}
     assert len(distinct) < len(log.packets)
     assert len({id(p.name) for p in log.packets}) == len(distinct)
+
+
+def test_runs_on_one_topology_share_its_chunk_names():
+    cfg, topo, interests = mesh_inputs()
+    first, second = ([p.name for p in E.run(cfg, topo, interests)[1].packets] for _ in range(2))
+    assert first == second
+    assert all(a is b for a, b in zip(first, second))
+    owned = {id(name) for prefix in topo.prefixes for name in prefix.chunk_names}
+    assert {id(name) for name in first} <= owned
 
 
 def test_conservation_and_route_reversal_on_mesh():

@@ -386,11 +386,24 @@ def test_unwritable_path_raises_oserror(tmp_path):
         M.write_csv(tiny_topology(), M.LoadLog(), M.PacketLog(), summary_fixture(), blocker / "sub")
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_states_every_file_schema():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     for header in (M.LOADS_HEADER, M.PACKETS_HEADER, M.SUMMARY_HEADER, M.HISTOGRAM_HEADER,
                    M.BATCH_HEADER):
         assert f"`{header}`" in readme, header
+
+
+def test_readme_simulation_without_files_runs_alone():
+    # The block runs in a fresh namespace, so it must import all it uses.
+    after = README.read_text().split("One simulation without writing files:\n", 1)[1]
+    block = after.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert isinstance(namespace["summary"], M.RunSummary)
+    assert namespace["delays"] and len(namespace["packet_log"]) > 0
 
 
 def test_write_histogram(tmp_path):

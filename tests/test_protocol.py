@@ -25,30 +25,30 @@ def test_sizes_are_exact():
 
 
 def test_single_chunk_object():
-    packets = P.split_interest(Prefix(0, 8, (4,)), [P0], 1.0, P.Routes(), {})
+    packets = P.split_interest(Prefix(0, 8, (4,)), [P0], 1.0, P.Routes())
     assert len(packets) == 1
     assert packets[0].nodes == P0[1]
 
 
 def test_multi_round_robin_over_eight_chunks():
-    packets = P.split_interest(Prefix(0, 64, (4,)), [P0, P1, P2], 0.0, P.Routes(), {})
+    packets = P.split_interest(Prefix(0, 64, (4,)), [P0, P1, P2], 0.0, P.Routes())
     assert [p.nodes for p in packets] == [P0[1], P1[1], P2[1], P0[1], P1[1], P2[1], P0[1], P1[1]]
     assert [p.name for p in packets] == [(0, chunk) for chunk in range(8)]
 
 
 def test_single_mode_pins_all_chunks_to_best_path():
-    packets = P.split_interest(Prefix(0, 24, (4,)), [P0], 0.0, P.Routes(), {})
+    packets = P.split_interest(Prefix(0, 24, (4,)), [P0], 0.0, P.Routes())
     assert len(packets) == 3
     assert all(p.nodes == P0[1] for p in packets)
 
 
 def test_multi_mode_with_one_path_degrades_to_single():
-    packets = P.split_interest(Prefix(0, 24, (4,)), [P1], 0.0, P.Routes(), {})
+    packets = P.split_interest(Prefix(0, 24, (4,)), [P1], 0.0, P.Routes())
     assert all(p.nodes == P1[1] for p in packets)
 
 
 def test_packet_fields():
-    packets = P.split_interest(Prefix(3, 16, (4,)), [P0], 2.5, P.Routes(), {})
+    packets = P.split_interest(Prefix(3, 16, (4,)), [P0], 2.5, P.Routes())
     assert [p.name for p in packets] == [(3, 0), (3, 1)]
     for p in packets:
         assert type(p) is P.Packet and p.kind == P.INTEREST
@@ -58,13 +58,13 @@ def test_packet_fields():
 
 def test_chunk_sizes_cover_object():
     prefix = Prefix(0, 56, (4,))
-    packets = P.split_interest(prefix, [P0], 0.0, P.Routes(), {})
+    packets = P.split_interest(prefix, [P0], 0.0, P.Routes())
     assert len(packets) * P.CHUNK_SIZE_MB == prefix.size_mb
 
 
 def test_empty_paths_raises():
     with pytest.raises(P.RouteUnavailableError):
-        P.split_interest(Prefix(0, 8, (4,)), [], 0.0, P.Routes(), {})
+        P.split_interest(Prefix(0, 8, (4,)), [], 0.0, P.Routes())
 
 
 def terminal_interest(route=(3, 5, 7), chunk=2, created=1.25):
@@ -111,7 +111,7 @@ def test_responses_on_one_route_share_its_reversed_tuple():
     assert first.nodes == (7, 5, 3)
     assert second.nodes is first.nodes
     # Interests on equal paths of different tables share the stored route too.
-    chunks = [P.split_interest(Prefix(0, 8, (7,)), [path(3, 5, 7)], 0.0, routes, {})[0]
+    chunks = [P.split_interest(Prefix(0, 8, (7,)), [path(3, 5, 7)], 0.0, routes)[0]
               for _ in range(2)]
     assert chunks[0].nodes is chunks[1].nodes is next(iter(routes))
 

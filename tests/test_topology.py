@@ -136,6 +136,24 @@ def test_prefix_rejects_a_size_that_is_not_a_positive_chunk_multiple(size_mb):
         T.Prefix(0, size_mb, (1,))
 
 
+@pytest.mark.parametrize("size_mb, chunks", [(8, 1), (24, 3), (64, 8)])
+def test_prefix_names_its_chunks(size_mb, chunks):
+    prefix = T.Prefix(5, size_mb, (1,))
+    assert prefix.chunk_names == tuple((5, chunk) for chunk in range(chunks))
+    assert prefix.chunk_names is prefix.chunk_names
+
+
+def test_reading_chunk_names_leaves_prefix_and_topology_equal():
+    def build():
+        return T.make_topology(3, [(0, 1, 600.0), (1, 2, 600.0)], [T.Prefix(0, 24, (2,))])
+
+    read, fresh = build(), build()
+    assert read.prefixes[0].chunk_names == ((0, 0), (0, 1), (0, 2))
+    assert read == fresh and read.prefixes[0] == fresh.prefixes[0]
+    assert hash(read.prefixes[0]) == hash(fresh.prefixes[0])
+    assert repr(read) == repr(fresh) and repr(read.prefixes[0]) == repr(fresh.prefixes[0])
+
+
 @pytest.mark.parametrize("extra, message", [
     (T.Channel(2, 0, 1, 2000.0), "a second channel 0->1"),
     (T.Channel(2, 1, 1, 600.0), "two distinct ends"),
