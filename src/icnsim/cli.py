@@ -160,12 +160,18 @@ def run_batch(config, runs: int):
     Both modes of a seed run on one topology and interest schedule, built
     once, with their default k, whatever ``mode`` and ``k`` the config holds;
     a run mutates neither. Collector paused, see ``engine.collector_paused``.
+    Raises ValueError before any run for a ``runs`` that is not an int of at
+    least 1, or for a bad setting other than ``mode`` and ``k``.
     """
+    if type(runs) is not int:
+        raise ValueError(f"runs must be an int, got {runs!r}")
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
+    # The settings the batch reads, checked before a seed is derived from them.
+    base = replace(config, mode=protocol.MODE_SINGLE, k=None).validate()
     summaries = []
     for offset in range(runs):
-        seed_config = replace(config, seed=config.seed + offset, mode=protocol.MODE_SINGLE, k=None)
+        seed_config = replace(base, seed=base.seed + offset)
         inputs = build_inputs(seed_config)
         for mode in (protocol.MODE_SINGLE, protocol.MODE_MULTI):
             summaries.append(_execute(replace(seed_config, mode=mode, k=None), *inputs)[3])

@@ -46,9 +46,9 @@ def counted_runs():
     runs = {}
     for count, mode in zip(INTEREST_COUNTS, ("single", "multi", "single", "multi")):
         config = SimulationConfig(seed=1, interests=count, mode=mode)
-        topology, scenario = cli.build_inputs(config)
-        load_log, packet_log, _, _ = cli._execute(config, topology, scenario)
-        runs[count] = (topology, load_log, packet_log)
+        sim = E.Simulation(config, *cli.build_inputs(config))
+        load_log, packet_log = sim.run()
+        runs[count] = (sim.topology, load_log, packet_log, sim.stats)
     return runs
 
 
@@ -90,11 +90,15 @@ def test_criterion_2_byte_identical_runs(tmp_path):
 def test_criterion_3_conservation(counted_runs):
     details = []
     for count in INTEREST_COUNTS:
-        _, _, packet_log = counted_runs[count]
+        _, _, packet_log, stats = counted_runs[count]
         outcomes = check_conservation(packet_log)
         assert sum(outcomes.values()) == len(packet_log)
+        # Every interest falls inside the 950 s window, so the run handles each one.
+        assert stats.lookups == count
+        assert sum(stats.drops) == outcomes[P.DROPPED]
         details.append(f"{count}:{len(packet_log)}rec")
-    _report(3, True, "counts reconcile and data/interest routes pair up on " + ", ".join(details))
+    _report(3, True, "counts reconcile with the run's counts and data/interest routes pair up on "
+            + ", ".join(details))
 
 
 def test_criterion_4_multipath_reduces_delivery_time(paired_batch):
@@ -119,20 +123,24 @@ def test_criterion_5_multipath_balances_load(paired_batch):
 
 def test_criterion_6_physical_bounds(counted_runs):
     for count in INTEREST_COUNTS:
-        topology, load_log, _ = counted_runs[count]
+        topology, load_log, _, _ = counted_runs[count]
         capacity = {ch.channel_id: ch.capacity_mbps for ch in topology.channels}
         for s in load_log:
             assert s.load_mbps <= capacity[s.channel_id] * (1 + 1e-9), (count, s)
 
-    # Serialization delay spot checks: delay = size / capacity exactly.
+    # Serialization delay spot checks: delay = size / capacity exactly. One
+    # 8 MB request at t=0 sends one interest on 0->1 and one data chunk back;
+    # the 0.5 s horizon ends the run before a load window trims either.
     checks = ((P.DATA, 2048.0, 0.03125), (P.INTEREST, 512.0, 0.0015625))
     for kind, capacity, expected in checks:
         topo = make_topology(2, [(0, 1, capacity)], [Prefix(0, 8, (1,))])
-        sim = E.Simulation(SimulationConfig(nodes=2, edges=1, prefixes=1), topo, [])
-        packet = P.Packet(kind, (0, 0), (0, 1))
-        sim._forward(packet, 0, 0.0)
-        _, end, _ = sim.channels[0].sent[0]
-        assert end == expected
+        sim = E.Simulation(SimulationConfig(horizon_s=0.5), topo, [E.InterestEvent(0.0, 0, 0)])
+        _, (interest, _) = sim.run()
+        hop = (0, 1) if kind == P.INTEREST else (1, 0)
+        ((start, end, _),) = sim.channels[topo.channel(*hop).channel_id].sent
+        assert end - start == expected
+        if kind == P.INTEREST:
+            assert interest.terminated_s == expected
     _report(6, True,
             "every load sample within channel capacity; 8MB@2048Mbps=0.03125s and "
             "0.1MB@512Mbps=0.0015625s exact")

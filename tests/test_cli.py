@@ -1,5 +1,6 @@
 import filecmp
 import math
+import re
 from dataclasses import fields
 
 import pytest
@@ -269,24 +270,30 @@ def test_run_batch_builds_inputs_once_per_seed(tmp_path, monkeypatch):
 
 def test_run_batch_ignores_mode_and_k(tmp_path):
     _, default = cli.run_batch(small_config(tmp_path / "default"), 2)
-    _, fixed = cli.run_batch(small_config(tmp_path / "fixed", mode=P.MODE_MULTI, k=7), 2)
-    assert fixed.read_bytes() == default.read_bytes()
+    # Single mode takes no k but 1, yet a batch runs, since it reads neither.
+    for name, mode, k in (("multi", P.MODE_MULTI, 7), ("single", P.MODE_SINGLE, 3)):
+        _, fixed = cli.run_batch(small_config(tmp_path / name, mode=mode, k=k), 2)
+        assert fixed.read_bytes() == default.read_bytes()
 
 
 def test_run_batch_validates_runs(tmp_path):
-    with pytest.raises(ValueError):
-        cli.run_batch(small_config(tmp_path), 0)
+    for runs, message in ((0, "runs must be at least 1, got 0"), (True, "runs must be an int, got True"),
+                          (1.5, "runs must be an int, got 1.5")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli.run_batch(small_config(tmp_path), runs)
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("overrides, message", [
     (dict(interests=-1), "interests must be non-negative, got -1"),
     (dict(warmup_s=40.0), "need 0 <= warmup_s < cooldown_start_s <= horizon_s"),
     (dict(seed=1.5), "seed must be an int, got 1.5"),
+    (dict(seed=True), "seed must be an int, got True"),
     (dict(nodes=6.0), "nodes must be an int, got 6.0"),
     (dict(edges=9.5), "edges must be an int, got 9.5"),
     (dict(prefixes=3.0), "prefixes must be an int, got 3.0"),
     (dict(interests=2.5), "interests must be an int, got 2.5"),
-], ids=["scenario", "output", "seed-float", "nodes-float", "edges-float", "prefixes-float",
+], ids=["scenario", "output", "seed-float", "seed-bool", "nodes-float", "edges-float", "prefixes-float",
         "interests-float"])
 @pytest.mark.parametrize("run", [cli.build_inputs, cli.run_single, lambda cfg: cli.run_batch(cfg, 1)],
                          ids=["inputs", "single", "batch"])

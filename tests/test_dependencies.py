@@ -1,6 +1,7 @@
 import ast
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,10 @@ from pathlib import Path
 import icnsim
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-ORACLES = Path(__file__).resolve().parent / "oracles.py"
+TESTS = Path(__file__).resolve().parent
+ORACLES = TESTS / "oracles.py"
+# A private name: one leading underscore, not a dunder.
+PRIVATE = re.compile(r"_(?!_)\w+")
 
 
 def test_no_module_imports_numpy():
@@ -37,3 +41,23 @@ def test_oracles_import_only_topology_and_protocol():
                          for alias in node.names)
     assert {name for name in names if name.partition(".")[0] == "icnsim"} == {"icnsim.topology",
                                                                              "icnsim.protocol"}
+
+
+def test_tests_reach_the_engine_only_through_its_public_surface():
+    # A test that calls or patches a private handler pins the engine's method
+    # boundaries. The one private name a test may read is the event heap, where
+    # tests queue and inspect events. A string that names a private attribute
+    # (a setattr or monkeypatch target) counts too.
+    sites = []
+    for path in sorted(TESTS.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+                name = None if on_self else node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value.rpartition(".")[2]
+            else:
+                continue
+            if name and name != "_heap" and PRIVATE.fullmatch(name):
+                sites.append(f"{path.name}:{node.lineno}: {name}")
+    assert sites == []

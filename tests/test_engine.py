@@ -1,4 +1,5 @@
 import gc
+import heapq
 import math
 import re
 import weakref
@@ -64,11 +65,17 @@ def short_config(**overrides):
     (P.INTEREST, 512.0, 0.0015625),
 ], ids=["data-2048", "data-512", "interest-2048", "interest-512"])
 def test_serialization_delay(kind, capacity, expected):
-    sim = E.Simulation(short_config(), two_node_topology(capacity=capacity), [])
-    state = sim.channels[0]
-    sim._forward(P.Packet(kind, (0, 0), (0, 1)), 0, 0.0)
-    start, end, _ = state.sent[0]
+    # One 8 MB request at t=0: the interest crosses 0->1 and its data chunk
+    # 1->0, each once. A 0.5 s horizon ends the run before any load window
+    # could trim a channel's transmissions.
+    topo = two_node_topology(capacity=capacity, size_mb=8)
+    sim = E.Simulation(short_config(horizon_s=0.5), topo, [E.InterestEvent(0.0, 0, 0)])
+    _, (interest, _) = sim.run()
+    hop = (0, 1) if kind == P.INTEREST else (1, 0)
+    ((start, end, _),) = sim.channels[topo.channel(*hop).channel_id].sent
     assert end - start == expected
+    if kind == P.INTEREST:
+        assert interest.terminated_s == expected
 
 
 def test_back_to_back_completions_are_evenly_spaced():
@@ -236,13 +243,19 @@ def test_channel_busy_across_a_whole_window_logs_exactly_capacity():
 # -- buffer behaviour ----------------------------------------------------
 
 def test_tail_drop_at_buffer_capacity():
-    sim = E.Simulation(short_config(), two_node_topology(), [])
-    state = sim.channels[0]
-    packets = [P.Packet(P.INTEREST, (0, 0), (0, 1)) for _ in range(65)]
-    for packet in packets:
-        sim._forward(packet, 0, 0.0)
-    assert len(state.queue) == 64
-    assert [i for i, p in enumerate(packets) if p.outcome == P.DROPPED] == [64]
+    # Every 64 MB request at t=0 puts its 8 interest chunks on 0->1 at once,
+    # so the buffer takes the first ones and drops the rest. The interests it
+    # took send back as many data chunks, which fill 1->0 exactly. The odd
+    # buffer checks a high-water mark that is not even.
+    topo = two_node_topology(size_mb=64)
+    for buffer, requests in ((64, 9), (5, 1)):
+        sim = E.Simulation(short_config(buffer_packets=buffer), topo,
+                           [E.InterestEvent(0.0, 0, 0)] * requests)
+        _, packets = sim.run()
+        offered = 8 * requests
+        assert [i for i, p in enumerate(packets) if p.outcome == P.DROPPED] == list(range(buffer, offered))
+        assert sim.stats.drops == [offered - buffer, 0]
+        assert sim.stats.high_water == [buffer, buffer]
 
 
 def test_drops_recorded_in_full_run():
@@ -504,11 +517,11 @@ def test_finished_run_is_freed_without_cycle_collection():
 def test_run_leaves_the_collector_as_it_found_it(enabled, raises):
     collecting = gc.isenabled()
     seen = []
-    original = E.Simulation._handle_init_interest
+    original = P.split_interest
 
-    def spy(sim, now, interest):
+    def spy(*args):
         seen.append(gc.isenabled())
-        original(sim, now, interest)
+        return original(*args)
 
     try:
         if enabled:
@@ -516,7 +529,7 @@ def test_run_leaves_the_collector_as_it_found_it(enabled, raises):
         else:
             gc.disable()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(E.Simulation, "_handle_init_interest", spy)
+            mp.setattr(P, "split_interest", spy)
             if raises:
                 with pytest.raises(P.RouteUnavailableError):
                     E.Simulation(*no_route_inputs()).run()
@@ -533,13 +546,14 @@ def test_run_leaves_the_collector_as_it_found_it(enabled, raises):
 
 def test_receive_at_wrong_node_is_fatal():
     # No arrival can reach a packet's own source (node 0) or a node off its
-    # route (node 2).
+    # route (node 2). Each crafted arrival is keyed ahead of the first path update.
     topo = make_topology(3, [(0, 1, 1024.0), (1, 2, 1024.0)], [Prefix(0, 8, (2,))])
-    sim = E.Simulation(short_config(), topo, [])
     packet = P.Packet(P.INTEREST, (0, 0), (0, 1))
     for node, reason in ((0, "source"), (2, "off its route")):
+        sim = E.Simulation(short_config(), topo, [])
+        heapq.heappush(sim._heap, (0.0, -1, E.RECEIVE, (node, packet)))
         with pytest.raises(E.SimulationError, match=reason):
-            sim._handle_receive(0.0, (node, packet))
+            sim.run()
 
 
 def test_same_instant_arrivals_at_buffer_1_channel():
